@@ -2,10 +2,11 @@
 //
 // Regenerates Table 2: for each of the ten designs, the SystemVerilog
 // LoC, the simulated cycle count, and the runtime of the three engines —
-// Int. (LLHD-Sim reference interpreter), JIT (LLHD-Blaze bytecode
-// engine), Comm. (CommSim closure engine, the commercial-simulator
-// stand-in). Traces are verified equal across engines, reproducing the
-// paper's "traces match between the two simulators for all designs".
+// Int. (LLHD-Sim reference interpreter), JIT (LLHD-Blaze: optimised,
+// native code where the JIT admits a process), Comm. (CommSim closure
+// engine, the commercial-simulator stand-in). Traces are verified equal
+// across engines, reproducing the paper's "traces match between the two
+// simulators for all designs".
 //
 // Cycle counts default to 1/1000 of the paper's (pass --scale=1 for the
 // full counts; the interpreter column then takes hours, as in the paper).
@@ -362,10 +363,6 @@ int main(int argc, char **argv) {
            TComm > 0 ? TJit / TComm : 0.0,
            TInt > 0 ? (TCkpt / TInt - 1) * 100 : 0.0, Status);
   }
-  printf("\nShape note: all three engines now execute one shared lowered "
-         "IR (sim/Lir.h), so\nInt. runs close to an unoptimised JIT; "
-         "JIT's remaining edge is its pre-compilation\noptimisation "
-         "pipeline, and Comm. stays in the same order.\n");
   if (BatchN) {
     double SeqS = 0, PoolS = 0;
     uint64_t FleetCycles = 0;

@@ -8,7 +8,8 @@
 // the same LIR through the same execution core as the reference
 // interpreter (sim/LirEngine.h). Engine semantics are therefore shared
 // by construction; what distinguishes Blaze is the pre-compilation
-// optimisation of the simulated module itself.
+// optimisation of the simulated module and the native code the JIT
+// (src/jit/) emits for the process units it admits.
 //
 //===----------------------------------------------------------------------===//
 

@@ -1,13 +1,14 @@
-//===- blaze/Blaze.h - Accelerated bytecode engine (LLHD-Blaze) --*- C++ -*-===//
+//===- blaze/Blaze.h - Accelerated engine (LLHD-Blaze) ----------*- C++ -*-===//
 //
 // The accelerated simulator of §6.1. The paper's LLHD-Blaze JIT-compiles
 // units via LLVM; this environment has no LLVM, so Blaze implements the
-// same idea one notch lower (documented in DESIGN.md): each unit is
-// compiled once at elaboration into dense register-based bytecode —
-// constants materialised up front, value slots resolved to indices, phis
-// lowered to edge copies — and dispatched in a tight loop. The LLHD
-// optimisation pipeline runs before compilation, mirroring the paper's
-// use of LLVM -O on the generated IR.
+// same idea through the host C++ compiler (DESIGN.md, "Native code
+// generation"): it runs the LLHD optimisation pipeline over a clone of
+// the design, mirroring the paper's use of LLVM -O, lowers the result to
+// the shared runtime IR (sim/Lir.h), and compiles every process unit
+// that fits the two-state <=64-bit lane model to native code
+// (src/jit/). The rest — and everything, when no host compiler is
+// available — runs on the LIR interpreter over the same event loop.
 //
 //===----------------------------------------------------------------------===//
 

@@ -462,7 +462,7 @@ typedef struct LlhdJitApi {
   void (*drv_arr)(void *ctx, unsigned site, const u64 *val, unsigned n);
   void (*call)(void *ctx, unsigned site, const u64 *args, unsigned n);
 } LlhdJitApi;
-extern "C" int llhd_jit_abi_version = 1;
+extern "C" { int llhd_jit_abi_version = 1; }
 
 // Semantics below mirror sim/RtOps.cpp's evalIntFast bit for bit.
 static inline u64 jm(u64 v, unsigned w) {
@@ -537,19 +537,37 @@ struct Emitter {
   const LirUnit &L;
   std::string S;
   std::vector<int32_t> VarIdx; ///< Pointer slot -> var index.
+  /// Slot -> the C++ expression reading it: `s[k]`, or a `0x…ull`
+  /// literal for a constant no op writes, so the host compiler folds it.
+  /// Its lane is still preloaded (ConstLanes) for checkpoint/deopt sync.
+  std::vector<std::string> Read;
   size_t PrbI = 0, DrvI = 0, CallI = 0, WaitI = 0;
 
-  void buildVarMap() {
+  void index() {
     VarIdx.assign(L.NumSlots, -1);
+    std::vector<uint8_t> Written(L.NumSlots, 0);
     int32_t N = 0;
-    for (const LirOp &Op : L.Ops)
+    for (const LirOp &Op : L.Ops) {
       if (Op.C == LirOpc::Var)
         VarIdx[Op.Dst] = N++;
+      if (Op.Dst >= 0)
+        Written[Op.Dst] = 1;
+    }
+    Read.assign(L.NumSlots, "");
+    for (uint32_t Slot = 0; Slot != L.NumSlots; ++Slot)
+      if (P.LaneOf[Slot] >= 0)
+        Read[Slot] = "s[" + std::to_string(P.LaneOf[Slot]) + "]";
+    for (const auto &[Slot, V] : L.ConstSlots)
+      if (Slot < L.NumSlots && P.LaneOf[Slot] >= 0 && V.isInt() &&
+          !Written[Slot]) {
+        char Buf[32];
+        snprintf(Buf, sizeof(Buf), "0x%llxull",
+                 (unsigned long long)V.intValue().zextToU64());
+        Read[Slot] = Buf;
+      }
   }
 
-  std::string sl(int32_t Slot) const {
-    return "s[" + std::to_string(P.LaneOf[Slot]) + "]";
-  }
+  const std::string &sl(int32_t Slot) const { return Read[Slot]; }
   int32_t la(int32_t Slot) const { return P.LaneOf[Slot]; }
   unsigned wOf(int32_t Slot) const {
     unsigned W;
@@ -574,6 +592,15 @@ struct Emitter {
     f(S, "  { for (unsigned j = 0; j != %uu; ++j) s[%d + j] = "
          "s[%d + j]; }\n",
       N, DstLane, SrcLane);
+  }
+
+  /// Copies every lane of slot \p Src to \p DstLane; a one-lane slot
+  /// goes through sl(), so a literal constant stays a literal.
+  void copySlot(int32_t DstLane, int32_t Src) {
+    if (P.LanesOf[Src] == 1)
+      f(S, "  s[%d] = %s;\n", DstLane, sl(Src).c_str());
+    else
+      copyLanes(DstLane, la(Src), P.LanesOf[Src]);
   }
 
   /// Backward jumps carry the runaway-fuel check the interpreter's
@@ -721,8 +748,7 @@ void Emitter::emitPure(const LirOp &Op) {
   case Opcode::Inss:
     if (isArraySlot(Ops[0])) {
       copyLanes(la(Op.Dst), la(Ops[0]), P.LanesOf[Op.Dst]);
-      copyLanes(la(Op.Dst) + (int32_t)Op.Imm, la(Ops[1]),
-                P.LanesOf[Ops[1]]);
+      copySlot(la(Op.Dst) + (int32_t)Op.Imm, Ops[1]);
     } else {
       unsigned SrcW = wOf(Ops[1]);
       if (SrcW == 0) {
@@ -795,18 +821,18 @@ void Emitter::emitOp(uint32_t Pc, const LirOp &Op) {
     f(S, "  goto L%d;\n", Op.Jmp0);
     break;
   case LirOpc::Copy:
-    copyLanes(la(Op.Dst), la(Op.A), P.LanesOf[Op.Dst]);
+    copySlot(la(Op.Dst), Op.A);
     break;
   case LirOpc::Var:
     // The var's memory cell is a static lane range; executing the op
     // (re)initialises it from the init value.
-    copyLanes(P.CellLane[VarIdx[Op.Dst]], la(Op.A), P.LanesOf[Op.A]);
+    copySlot(P.CellLane[VarIdx[Op.Dst]], Op.A);
     break;
   case LirOpc::Ld:
     copyLanes(la(Op.Dst), P.CellLane[VarIdx[Op.A]], P.LanesOf[Op.Dst]);
     break;
   case LirOpc::St:
-    copyLanes(P.CellLane[VarIdx[Op.A]], la(Op.B), P.LanesOf[Op.B]);
+    copySlot(P.CellLane[VarIdx[Op.A]], Op.B);
     break;
   case LirOpc::Call: {
     const CallPlan &C = P.Calls[CallI];
@@ -861,8 +887,8 @@ std::string jit::emitUnit(UnitPlan &P, unsigned Index) {
     }
   }
 
-  Emitter E{P, L, std::move(S), {}};
-  E.buildVarMap();
+  Emitter E{P, L, std::move(S), {}, {}};
+  E.index();
   for (uint32_t Pc = 0; Pc != L.Ops.size(); ++Pc) {
     if (Labels.count((int32_t)Pc))
       f(E.S, "L%d:;\n", Pc);

@@ -12,13 +12,26 @@
 #include <vector>
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
+
+extern char **environ;
 
 using namespace llhd;
 using namespace llhd::jit;
 
 namespace {
+
+/// The flags of the one host-compiler invocation per design. -O1 folds
+/// the lane arithmetic at a fraction of -O2's compile time; -nostdlib
+/// skips linking a C++ runtime the freestanding TU never calls (any
+/// libc symbol GCC might still emit resolves against the host process
+/// under RTLD_NOW). See DESIGN.md, "Host compile".
+const char *const CompileFlags[] = {"-std=c++17", "-O1",       "-fPIC",
+                                    "-shared",    "-nostdlib", "-pipe"};
 
 /// FNV-1a over the generated source: the key of the process-wide cache
 /// of loaded objects (same source => same object, e.g. bench reps).
@@ -74,6 +87,53 @@ bool writeFile(const std::string &Path, const std::string &Data) {
   bool Ok = N == Data.size() && fflush(Fp) == 0;
   fclose(Fp);
   return Ok;
+}
+
+/// Quotes \p Arg for display in a shell-like command line. Only the
+/// logged command uses this: the compiler is spawned without a shell.
+std::string shellQuote(const std::string &Arg) {
+  if (!Arg.empty() &&
+      Arg.find_first_not_of("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRST"
+                            "UVWXYZ0123456789_+-=./,:@") == std::string::npos)
+    return Arg;
+  std::string Q = "'";
+  for (char C : Arg)
+    Q += C == '\'' ? std::string("'\\''") : std::string(1, C);
+  return Q + "'";
+}
+
+/// Runs \p Argv (argv[0] resolved against PATH) with stdin from
+/// /dev/null and stdout+stderr into \p Log. Returns the wait status,
+/// or -1 with \p Err set when the process could not be started.
+int spawnAndWait(const std::vector<std::string> &Argv, const std::string &Log,
+                 std::string &Err) {
+  std::vector<char *> Args;
+  for (const std::string &A : Argv)
+    Args.push_back(const_cast<char *>(A.c_str()));
+  Args.push_back(nullptr);
+
+  posix_spawn_file_actions_t Fa;
+  posix_spawn_file_actions_init(&Fa);
+  posix_spawn_file_actions_addopen(&Fa, STDIN_FILENO, "/dev/null", O_RDONLY,
+                                   0);
+  posix_spawn_file_actions_addopen(&Fa, STDOUT_FILENO, Log.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  posix_spawn_file_actions_adddup2(&Fa, STDOUT_FILENO, STDERR_FILENO);
+  pid_t Pid;
+  int Rc = posix_spawnp(&Pid, Args[0], &Fa, nullptr, Args.data(), environ);
+  posix_spawn_file_actions_destroy(&Fa);
+  if (Rc != 0) {
+    Err = std::string("cannot start the host compiler: ") + strerror(Rc);
+    return -1;
+  }
+  int Status = 0;
+  while (waitpid(Pid, &Status, 0) < 0) {
+    if (errno != EINTR) {
+      Err = std::string("waitpid failed: ") + strerror(errno);
+      return -1;
+    }
+  }
+  return Status;
 }
 
 void removeTree(const std::string &Dir) {
@@ -142,8 +202,13 @@ CompileResult HostCompiler::compile(const std::string &Source) {
 
   // Availability is checked before the cache so that a run with the
   // compiler disabled can never be satisfied by an earlier run's
-  // cached object.
-  uint64_t Key = fnv1a(R.Compiler + '\0' + Source);
+  // cached object. The flags are part of the key: an object built with
+  // other flags (say, an older -O2 object in $LLHD_JIT_CACHE) is never
+  // reused.
+  std::string KeyText = R.Compiler + '\0';
+  for (const char *Flag : CompileFlags)
+    KeyText += std::string(Flag) + '\0';
+  uint64_t Key = fnv1a(KeyText + Source);
   auto It = Cache.find(Key);
   if (It != Cache.end()) {
     R.Handle = It->second;
@@ -151,8 +216,8 @@ CompileResult HostCompiler::compile(const std::string &Source) {
   }
 
   // Optional cross-process object cache: $LLHD_JIT_CACHE names a
-  // directory of compiled objects keyed by (compiler, source, ABI).
-  // Objects land there via atomic rename (below), so a concurrent
+  // directory of compiled objects keyed by (compiler, flags, source,
+  // ABI). Objects land there via atomic rename (below), so a concurrent
   // process sees either nothing or a complete object — never a torn
   // write.
   std::string Published;
@@ -201,13 +266,24 @@ CompileResult HostCompiler::compile(const std::string &Source) {
     return R;
   }
 
-  R.Command = "'" + R.Compiler + "' -std=c++17 -O2 -fPIC -shared -o '" +
-              So + "' '" + Src + "' > '" + Log + "' 2>&1";
-  int Rc = system(R.Command.c_str());
-  if (Rc != 0) {
-    R.Diagnostics = readFile(Log);
-    R.Error = "host compiler failed (exit status " + std::to_string(Rc) +
-              "): " + R.Command;
+  std::vector<std::string> Argv = {R.Compiler};
+  Argv.insert(Argv.end(), std::begin(CompileFlags), std::end(CompileFlags));
+  Argv.insert(Argv.end(), {"-o", So, Src});
+  for (const std::string &A : Argv)
+    R.Command += (R.Command.empty() ? "" : " ") + shellQuote(A);
+  std::string SpawnErr;
+  int Status = spawnAndWait(Argv, Log, SpawnErr);
+  R.Diagnostics = readFile(Log);
+  if (Status != 0) {
+    if (Status < 0)
+      R.Error = SpawnErr;
+    else if (WIFEXITED(Status))
+      R.Error = "host compiler failed (exit status " +
+                std::to_string(WEXITSTATUS(Status)) + ")";
+    else
+      R.Error = "host compiler killed by signal " +
+                std::to_string(WTERMSIG(Status));
+    R.Error += ": " + R.Command;
     if (!Keep)
       removeTree(D);
     return R;

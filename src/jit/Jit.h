@@ -47,6 +47,11 @@ struct JitStats {
   unsigned InterpProcs = 0;   ///< Process instances interpreted.
   /// (unit name, reason) for every deopted unit, in plan order.
   std::vector<std::pair<std::string, std::string>> Deopts;
+  /// What the host compiler printed while building this engine's
+  /// object, warnings included; empty when the object came from a
+  /// cache. The generated code compiles warning-free, so a successful
+  /// compile leaves it empty too.
+  std::string CompilerOutput;
   /// Set when the whole engine degraded to interpretation (no compiler,
   /// compile failure, unloadable object); also printed to stderr once.
   std::string Warning;

@@ -148,6 +148,7 @@ void JitModule::compile(const Design &D, const LirCache &Cache) {
 
   CompileResult R = HostCompiler::compile(Source);
   St.CompilerFound = R.CompilerFound;
+  St.CompilerOutput = R.Diagnostics;
   if (!R.ok()) {
     St.Warning = "blaze jit disabled, falling back to the interpreter: " +
                  R.Error;

@@ -1,8 +1,8 @@
 //===- sim/RtOps.h - Shared operation semantics -----------------*- C++ -*-===//
 //
 // One implementation of LLHD's data-flow operation semantics on runtime
-// values, shared by the reference interpreter (LLHD-Sim), the bytecode
-// engine (LLHD-Blaze) and the closure engine (CommSim), so that all three
+// values, shared by the reference interpreter (LLHD-Sim), LLHD-Blaze's
+// interpreted processes and the closure engine (CommSim), so that all three
 // produce identical traces by construction of the value semantics (the
 // scheduling semantics remain engine-specific).
 //

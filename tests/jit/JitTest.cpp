@@ -12,6 +12,7 @@
 #include "asm/Parser.h"
 #include "blaze/Blaze.h"
 #include "designs/Designs.h"
+#include "jit/HostCompiler.h"
 #include "moore/Compiler.h"
 #include "sim/Interp.h"
 
@@ -21,6 +22,10 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace llhd;
 
@@ -115,13 +120,25 @@ std::string widthDesign(unsigned W, unsigned Salt = 0) {
   return Src;
 }
 
+struct EnvGuard {
+  std::string Name;
+  EnvGuard(const char *N, const char *Value) : Name(N) {
+    setenv(N, Value, /*overwrite=*/1);
+  }
+  ~EnvGuard() { unsetenv(Name.c_str()); }
+};
+
 //===----------------------------------------------------------------------===//
 // Equivalence
 //===----------------------------------------------------------------------===//
 
 // The whole Table 2 suite, Blaze native code vs the reference
-// interpreter, byte-for-byte — and the JIT must actually engage.
+// interpreter, byte-for-byte — and the JIT must actually engage. Every
+// design compiles afresh (no on-disk cache), and the host compiler
+// prints nothing: a warning would land ahead of the real error in a
+// failure's diagnostics.
 TEST_F(JitTest, SuiteDigestsMatchNative) {
+  EnvGuard NoDiskCache("LLHD_JIT_CACHE", "");
   unsigned TotalNative = 0;
   for (const designs::DesignInfo &D : designs::allDesigns(0.0)) {
     Context C;
@@ -147,6 +164,7 @@ TEST_F(JitTest, SuiteDigestsMatchNative) {
     EXPECT_EQ(Ref.trace().digest(), Blaze.trace().digest()) << D.Key;
     EXPECT_TRUE(Blaze.jitStats().Warning.empty())
         << D.Key << ": " << Blaze.jitStats().Warning;
+    EXPECT_EQ(Blaze.jitStats().CompilerOutput, "") << D.Key;
     TotalNative += Blaze.jitStats().NativeUnits;
   }
   // The sweep is pointless if nothing actually ran as native code.
@@ -195,14 +213,6 @@ TEST_F(JitTest, MixedNativeAndInterpretedMatchesOracle) {
 //===----------------------------------------------------------------------===//
 // Fallback robustness
 //===----------------------------------------------------------------------===//
-
-struct EnvGuard {
-  std::string Name;
-  EnvGuard(const char *N, const char *Value) : Name(N) {
-    setenv(N, Value, /*overwrite=*/1);
-  }
-  ~EnvGuard() { unsetenv(Name.c_str()); }
-};
 
 // LLHD_JIT_CXX="" simulates a machine without any host compiler: the
 // engine must interpret everything, correctly, with the stats saying
@@ -261,6 +271,40 @@ TEST_F(JitTest, UnwritableTempDirFallsBack) {
   EXPECT_FALSE(B->jitStats().Compiled);
   EXPECT_EQ(B->jitStats().NativeProcs, 0u);
   EXPECT_FALSE(B->jitStats().Warning.empty());
+}
+
+// The compiler is spawned without a shell, so a compiler path and a
+// temp dir with a space and a quote in them still compile natively
+// (with a shell command line the quote broke the command and Blaze fell
+// back to the interpreter).
+TEST_F(JitTest, QuotedPathsCompile) {
+  std::string Real = jit::HostCompiler::findCompiler();
+  if (Real.empty() || Real[0] != '/')
+    GTEST_SKIP() << "host compiler is not an absolute path: '" << Real << "'";
+  std::string Templ = ::testing::TempDir() + "llhd-jit-quote-XXXXXX";
+  std::vector<char> Base(Templ.begin(), Templ.end());
+  Base.push_back('\0');
+  ASSERT_NE(mkdtemp(Base.data()), nullptr);
+  std::string Dir = std::string(Base.data()) + "/jit cxx's dir";
+  ASSERT_EQ(mkdir(Dir.c_str(), 0700), 0);
+  std::string Link = Dir + Real.substr(Real.rfind('/'));
+  ASSERT_EQ(symlink(Real.c_str(), Link.c_str()), 0);
+
+  {
+    EnvGuard Cxx("LLHD_JIT_CXX", Link.c_str());
+    EnvGuard Tmp("LLHD_JIT_TMPDIR", Dir.c_str());
+    std::string Src = widthDesign(12, /*Salt=*/303);
+    uint64_t Ref = interpDigest(Src, "wtop");
+    auto B = runBlaze(Src, "wtop", jit::JitOptions::Mode::On);
+    const jit::JitStats &St = B->jitStats();
+    EXPECT_TRUE(St.Compiled) << St.Warning;
+    EXPECT_EQ(St.NativeUnits, 2u);
+    EXPECT_EQ(Ref, B->trace().digest());
+  }
+
+  unlink(Link.c_str());
+  rmdir(Dir.c_str());
+  rmdir(Base.data());
 }
 
 } // namespace

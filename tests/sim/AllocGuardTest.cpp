@@ -2,7 +2,7 @@
 //
 // Proves the allocation-free runtime value path: a scalar-only design in
 // steady state performs zero heap allocations per delta cycle on the op
-// path, for both the reference interpreter and the Blaze bytecode engine.
+// path, for both the reference interpreter and the Blaze engine.
 //
 // Method: the whole test binary's operator new/delete are replaced with
 // counting wrappers. A run of N cycles and a run of 2N cycles of the same
