@@ -29,20 +29,28 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 /// The retired std::map event wheel (one red-black-tree node per distinct
-/// time, allocated and freed per slot).
+/// time, allocated and freed per slot). Scalar drives travel as full
+/// SigUpdates (SigRef + RtValue), the form they had before the kernel's
+/// word records.
 class LegacyMapWheel {
 public:
-  void scheduleUpdate(Time T, SigUpdate U) {
-    Queue[T].Updates.push_back(std::move(U));
+  void scheduleWord(Time T, SignalId Sig, unsigned Width, uint64_t Word,
+                    uint64_t Driver) {
+    SigRef Ref;
+    Ref.Sig = Sig;
+    Queue[T].Updates.push_back(
+        {std::move(Ref), RtValue(IntValue(Width, Word)), Driver});
   }
   void scheduleWake(Time T, ProcWake W) { Queue[T].Wakes.push_back(W); }
   bool empty() const { return Queue.empty(); }
   Time nextTime() const { return Queue.begin()->first; }
-  void pop(std::vector<SigUpdate> &Updates, std::vector<ProcWake> &Wakes) {
+  /// Pops the earliest slot; returns its event count.
+  size_t pop() {
     auto It = Queue.begin();
     Updates = std::move(It->second.Updates);
     Wakes = std::move(It->second.Wakes);
     Queue.erase(It);
+    return Updates.size() + Wakes.size();
   }
 
 private:
@@ -51,6 +59,29 @@ private:
     std::vector<ProcWake> Wakes;
   };
   std::map<Time, Slot> Queue;
+  std::vector<SigUpdate> Updates;
+  std::vector<ProcWake> Wakes;
+};
+
+/// The kernel's two-lane wheel with word records, popped the way the
+/// event loop pops it.
+class TwoLaneWheel {
+public:
+  void scheduleWord(Time T, SignalId Sig, unsigned Width, uint64_t Word,
+                    uint64_t Driver) {
+    S.scheduleWord(T, Sig, Width, Word, Driver);
+  }
+  void scheduleWake(Time T, ProcWake W) { S.scheduleWake(T, W); }
+  bool empty() const { return S.empty(); }
+  Time nextTime() const { return S.nextTime(); }
+  size_t pop() {
+    S.pop(Ev);
+    return Ev.Recs.size() + Ev.Wakes.size();
+  }
+
+private:
+  Scheduler S;
+  SlotEvents Ev;
 };
 
 /// The schedule/pop workload: per simulated slot, a burst of next-delta
@@ -59,32 +90,22 @@ private:
 /// loop.
 template <typename Wheel> uint64_t runWheelWorkload(unsigned Slots) {
   Wheel W;
-  std::vector<SigUpdate> Updates;
-  std::vector<ProcWake> Wakes;
-  SigUpdate U;
-  U.Ref.Sig = 0;
-  U.Val = RtValue(Time::ns(1));
-  U.Driver = 1;
   uint64_t Popped = 0;
   Time Now;
   for (unsigned I = 0; I != Slots; ++I) {
-    // The dominant traffic: a burst of events on the next delta. Wakes
-    // carry a 12-byte payload, so what gets measured is the wheel's
-    // ordering machinery rather than event-payload copies.
+    // The dominant traffic: a burst of events on the next delta — wakes
+    // and one scalar (i32, whole-signal) drive.
     for (unsigned J = 0; J != 8; ++J)
       W.scheduleWake(driveTarget(Now, Time()), {J, I});
-    W.scheduleUpdate(driveTarget(Now, Time()), U);
+    W.scheduleWord(driveTarget(Now, Time()), 0, 32, I, 1);
     for (unsigned J = 0; J != 4; ++J) // Spread-out future instants.
       W.scheduleWake(Now.advance(Time::ns(1 + (I * 7 + J * 41) % 97)),
                      {J, I});
     Now = W.nextTime();
-    W.pop(Updates, Wakes);
-    Popped += Updates.size() + Wakes.size();
+    Popped += W.pop();
   }
-  while (!W.empty()) {
-    W.pop(Updates, Wakes);
-    Popped += Updates.size() + Wakes.size();
-  }
+  while (!W.empty())
+    Popped += W.pop();
   return Popped;
 }
 
@@ -135,7 +156,7 @@ BENCHMARK(BM_WheelScheduleDrainLegacyMap);
 
 static void BM_WheelScheduleDrainTwoLane(benchmark::State &State) {
   for (auto _ : State)
-    benchmark::DoNotOptimize(runWheelWorkload<Scheduler>(4096));
+    benchmark::DoNotOptimize(runWheelWorkload<TwoLaneWheel>(4096));
   State.SetItemsProcessed(State.iterations() * 4096 * 13);
 }
 BENCHMARK(BM_WheelScheduleDrainTwoLane);

@@ -19,31 +19,46 @@ using namespace llhd::jit;
 //
 // These mirror the interpreter's Prb/Drv/Call cases in LirEngine.cpp
 // exactly; the only difference is that values cross the boundary as
-// already-masked uint64_t lanes instead of RtValues.
+// already-masked uint64_t lanes instead of RtValues. Whole-signal sites
+// resolve at bind: a probe keeps a pointer to the signal's storage, a
+// scalar drive schedules a word record (sim/Kernel.h).
 
 namespace {
 
 uint64_t apiPrb(void *CtxP, unsigned Site) {
   auto &C = *static_cast<ProcContext *>(CtxP);
-  // Always via read(): it resolves `con` aliases (including element-
+  const PrbSite &S = C.Prbs[Site];
+  if (S.Whole)
+    return S.Whole->intValue().zextToU64();
+  // Otherwise via read(): it resolves `con` aliases (including element-
   // aligned sub-signal aliases) exactly like the interpreter's Prb.
-  return C.Eng->Signals.read(C.Prbs[Site].Ref).intValue().zextToU64();
+  return C.Eng->Signals.read(S.Ref).intValue().zextToU64();
 }
 
 void apiPrbArr(void *CtxP, unsigned Site, uint64_t *Dst, unsigned N) {
   auto &C = *static_cast<ProcContext *>(CtxP);
-  RtValue V = C.Eng->Signals.read(C.Prbs[Site].Ref);
-  const std::vector<RtValue> &E = V.elements();
-  for (unsigned I = 0; I != N; ++I)
-    Dst[I] = E[I].intValue().zextToU64();
+  const PrbSite &S = C.Prbs[Site];
+  auto load = [&](const RtValue &V) {
+    const std::vector<RtValue> &E = V.elements();
+    for (unsigned I = 0; I != N; ++I)
+      Dst[I] = E[I].intValue().zextToU64();
+  };
+  if (S.Whole)
+    load(*S.Whole);
+  else
+    load(C.Eng->Signals.read(S.Ref));
 }
 
 void apiDrv(void *CtxP, unsigned Site, uint64_t Val) {
   auto &C = *static_cast<ProcContext *>(CtxP);
   const DrvSite &S = C.Drvs[Site];
   LirEngine &E = *C.Eng;
-  E.Sched.scheduleUpdate(driveTarget(E.Now, S.Delay),
-                         {S.Ref, RtValue(IntValue(S.Width, Val)), S.Driver});
+  Time T = driveTarget(E.Now, S.Delay);
+  if (S.Word)
+    E.Sched.scheduleWord(T, S.Ref.Sig, S.Width, Val, S.Driver);
+  else
+    E.Sched.scheduleUpdate(T,
+                           {S.Ref, RtValue(IntValue(S.Width, Val)), S.Driver});
   E.Sched.countScheduled(1);
 }
 
@@ -196,6 +211,8 @@ bool JitModule::bindProcess(LirEngine &Eng, uint32_t ProcIndex,
       return false;
     PrbSite Site;
     Site.Ref = S.sigRef();
+    if (Site.Ref.wholeSignal())
+      Site.Whole = Eng.Signals.wholeStorage(Site.Ref.Sig);
     Ctx.Prbs.push_back(std::move(Site));
   }
 
@@ -209,6 +226,7 @@ bool JitModule::bindProcess(LirEngine &Eng, uint32_t ProcIndex,
     Site.Delay = T.timeValue();
     Site.Driver = LirEngine::driverId(&Inst, Dp.Origin);
     Site.Width = Dp.Width;
+    Site.Word = !Dp.NumElems && Site.Ref.wholeSignal();
     if (Dp.NumElems)
       Site.Scratch = RtValue::makeArray(
           std::vector<RtValue>(Dp.NumElems, RtValue(IntValue(Dp.Width, 0))));

@@ -61,6 +61,9 @@ const LlhdJitApi *apiTable();
 /// One probe site, resolved per instance.
 struct PrbSite {
   SigRef Ref;
+  /// The signal's storage when the probe reads a whole, unaliased
+  /// signal (resolved once at bind); null means read() through Ref.
+  const RtValue *Whole = nullptr;
 };
 
 /// One drive site, resolved per instance.
@@ -69,6 +72,8 @@ struct DrvSite {
   Time Delay;
   uint64_t Driver = 0;
   unsigned Width = 0;
+  /// Scalar drive of a whole signal: scheduled as a word record.
+  bool Word = false;
   RtValue Scratch; ///< Array drives: reused element buffer.
 };
 

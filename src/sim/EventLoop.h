@@ -63,6 +63,14 @@ concept EngineTraits = requires(E &Eng, uint32_t I, bool Initial) {
   { Eng.procName(I) } -> std::convertible_to<std::string>;
 };
 
+/// Sorts and dedupes a wake list; most lists hold zero or one unit.
+inline void sortUnique(std::vector<uint32_t> &V) {
+  if (V.size() < 2)
+    return;
+  std::sort(V.begin(), V.end());
+  V.erase(std::unique(V.begin(), V.end()), V.end());
+}
+
 template <EngineTraits Engine>
 SimStats runEventLoop(Engine &Eng, const Design &D, const SimOptions &Opts,
                       SimState &St, bool Resumed = false) {
@@ -128,8 +136,7 @@ SimStats runEventLoop(Engine &Eng, const Design &D, const SimOptions &Opts,
   uint64_t DeltasAtInstant = 0;
   uint64_t LastFs = Resumed ? Now.Fs : ~0ull;
   // Scratch reused across slots; capacity settles after a few steps.
-  std::vector<SigUpdate> Updates;
-  std::vector<ProcWake> Wakes;
+  SlotEvents Ev;
   std::vector<SignalId> Changed;
   std::vector<uint32_t> ProcsToRun, EntsToRun;
   std::vector<uint8_t> ChangedMark(Signals.size(), 0);
@@ -194,22 +201,33 @@ SimStats runEventLoop(Engine &Eng, const Design &D, const SimOptions &Opts,
     Now = T;
     ++Stats.Steps;
 
-    Sched.pop(Updates, Wakes);
+    Sched.pop(Ev);
 
-    // Apply signal updates; collect changed canonical signals (deduped
-    // via marks, in first-change order).
+    // Apply the slot's update stream in scheduling order; collect changed
+    // canonical signals (deduped via marks, in first-change order). Word
+    // records commit with a word compare and store.
     Changed.clear();
-    for (SigUpdate &U : Updates) {
-      SignalId Canon = Signals.canonical(U.Ref.Sig);
-      if (Signals.write(U.Ref, U.Val, U.Driver)) {
-        if (!ChangedMark[Canon]) {
-          ChangedMark[Canon] = 1;
-          Changed.push_back(Canon);
-        }
-        Tr.record(Now, Canon, Signals.value(Canon));
-        if (Wave)
-          Wave->onChange(Now, Canon, Signals.value(Canon));
+    for (const UpdateRec &U : Ev.Recs) {
+      SignalId Canon;
+      bool Chg;
+      if (U.isWord()) {
+        Canon = Signals.canonical(U.Sig);
+        Chg = Signals.writeWord(U.Sig, U.Width, U.Word, U.Driver);
+      } else {
+        const SigUpdate &G = Ev.General[U.Word];
+        Canon = Signals.canonical(G.Ref.Sig);
+        Chg = Signals.write(G.Ref, G.Val, G.Driver);
       }
+      if (!Chg)
+        continue;
+      if (!ChangedMark[Canon]) {
+        ChangedMark[Canon] = 1;
+        Changed.push_back(Canon);
+      }
+      const RtValue &V = Signals.value(Canon);
+      Tr.record(Now, Canon, V);
+      if (Wave)
+        Wave->onChange(Now, Canon, V);
     }
     for (SignalId S : Changed)
       ChangedMark[S] = 0;
@@ -217,7 +235,7 @@ SimStats runEventLoop(Engine &Eng, const Design &D, const SimOptions &Opts,
     // Wake set: fresh timers plus sensitivity matches, each a direct
     // index lookup. Units run in ascending index order for determinism.
     ProcsToRun.clear();
-    for (const ProcWake &W : Wakes)
+    for (const ProcWake &W : Ev.Wakes)
       if (Eng.procWakeGen(W.Proc) == W.Gen && Eng.procWaiting(W.Proc))
         ProcsToRun.push_back(W.Proc);
     EntsToRun.clear();
@@ -226,12 +244,8 @@ SimStats runEventLoop(Engine &Eng, const Design &D, const SimOptions &Opts,
       EntsToRun.insert(EntsToRun.end(), Ws.begin(), Ws.end());
       WIdx.collect(S, curGen, ProcsToRun);
     }
-    std::sort(ProcsToRun.begin(), ProcsToRun.end());
-    ProcsToRun.erase(std::unique(ProcsToRun.begin(), ProcsToRun.end()),
-                     ProcsToRun.end());
-    std::sort(EntsToRun.begin(), EntsToRun.end());
-    EntsToRun.erase(std::unique(EntsToRun.begin(), EntsToRun.end()),
-                    EntsToRun.end());
+    sortUnique(ProcsToRun);
+    sortUnique(EntsToRun);
 
     for (uint32_t PI : ProcsToRun) {
       if (Eng.procSenseStable(PI)) {

@@ -47,12 +47,17 @@ void SignalTable::freeze() {
     B.Parents[S] = Root;
   }
   B.Init = Values;
-  // Precompute the canonical map last: a nonempty Canon is what frozen()
-  // keys on, and canonical() still takes the slow path while we fill it.
+  // Precompute the canonical map last: canonical() takes the slow path
+  // while Canon is empty, i.e. while we fill it.
   std::vector<SignalId> Canon(B.Parents.size());
-  for (SignalId S = 0; S != B.Parents.size(); ++S)
+  B.Store.resize(B.Parents.size());
+  for (SignalId S = 0; S != B.Parents.size(); ++S) {
     Canon[S] = canonical(S);
+    SignalId Root = B.Parents[S];
+    B.Store[S] = B.Aliases[Root].valid() ? InvalidSignal : Root;
+  }
   B.Canon = std::move(Canon);
+  B.Frozen = true;
 }
 
 SignalTable SignalTable::makeRun() const {
@@ -157,6 +162,12 @@ bool SignalTable::write(const SigRef &RefIn, const RtValue &V,
   }
 
   // Two-state and sub-signal drives: last write wins.
+  if (Ref.wholeSignal()) {
+    if (SV == V)
+      return false;
+    SV = V;
+    return true;
+  }
   RtValue Old = readSubValue(SV, Ref);
   if (Old == V)
     return false;
@@ -178,29 +189,26 @@ uint32_t Scheduler::allocSlot() {
   return Arena.size() - 1;
 }
 
-void Scheduler::recycle(uint32_t Idx, std::vector<SigUpdate> &Updates,
-                        std::vector<ProcWake> &Wakes) {
-  Slot &S = Arena[Idx];
-  Updates.insert(Updates.end(),
-                 std::make_move_iterator(S.Updates.begin()),
-                 std::make_move_iterator(S.Updates.end()));
-  Wakes.insert(Wakes.end(), S.Wakes.begin(), S.Wakes.end());
-  // clear() keeps the vectors' capacity, so a recycled slot schedules
-  // without allocating.
-  S.Updates.clear();
-  S.Wakes.clear();
+void Scheduler::take(uint32_t Idx, SlotEvents &Out) {
+  // Out's cleared vectors keep their capacity and go to the freed slot,
+  // so once capacities settle, scheduling and popping never allocate.
+  Out.clear();
+  std::swap(Out, Arena[Idx]);
   FreeSlots.push_back(Idx);
+  for (Ref &M : Memo)
+    if (M.Idx == Idx)
+      M.Idx = NoSlot;
 }
 
-Scheduler::Slot &Scheduler::slotFor(Time T) {
+SlotEvents &Scheduler::slotFor(Time T) {
   if (T.Fs <= HeadFs) {
-    // Fast lane: sorted linear scan — the lane holds the current
-    // instant's few pending delta/epsilon slots.
-    size_t I = 0;
-    while (I != Fast.size() && Fast[I].T < T)
-      ++I;
-    if (I != Fast.size() && Fast[I].T == T)
-      return Arena[Fast[I].Idx];
+    // Fast lane: linear scan from the earliest (back) entry — the lane
+    // holds the current instant's few pending delta/epsilon slots.
+    size_t I = Fast.size();
+    while (I != 0 && Fast[I - 1].T < T)
+      --I;
+    if (I != 0 && Fast[I - 1].T == T)
+      return Arena[Fast[I - 1].Idx];
     uint32_t Idx = allocSlot();
     Fast.insert(Fast.begin() + I, {T, Idx});
     return Arena[Idx];
@@ -216,27 +224,24 @@ Scheduler::Slot &Scheduler::slotFor(Time T) {
   return Arena[Idx];
 }
 
-void Scheduler::pop(std::vector<SigUpdate> &Updates,
-                    std::vector<ProcWake> &Wakes) {
-  Updates.clear();
-  Wakes.clear();
-  MemoValid = false; // The memoed slot may be the one being recycled.
+void Scheduler::pop(SlotEvents &Out) {
   // The lanes are disjoint (fast: Fs <= HeadFs, heap: Fs > HeadFs), so
   // a nonempty fast lane always holds the earliest slot.
   if (!Fast.empty()) {
-    uint32_t Idx = Fast.front().Idx;
-    Fast.erase(Fast.begin());
-    recycle(Idx, Updates, Wakes);
+    uint32_t Idx = Fast.back().Idx;
+    Fast.pop_back();
+    take(Idx, Out);
     return;
   }
   Time T = Heap.front().T;
   std::pop_heap(Heap.begin(), Heap.end(), HeapOrder());
   uint32_t Idx = Heap.back().Idx;
   Heap.pop_back();
-  recycle(Idx, Updates, Wakes);
+  take(Idx, Out);
   // A new physical instant begins: anchor the fast lane to it and pull
   // over any already-scheduled slots of the same instant (they are at
-  // the top of the heap, and arrive in ascending time order).
+  // the top of the heap, and arrive in ascending time order; the lane
+  // is empty here, so reversing them yields its descending order).
   HeadFs = T.Fs;
   while (!Heap.empty() && Heap.front().T.Fs == HeadFs) {
     Ref R = Heap.front();
@@ -244,18 +249,36 @@ void Scheduler::pop(std::vector<SigUpdate> &Updates,
     Heap.pop_back();
     Fast.push_back(R);
   }
+  std::reverse(Fast.begin(), Fast.end());
 }
 
 std::vector<Scheduler::PendingSlot> Scheduler::pendingSlots() const {
   std::vector<PendingSlot> Out;
   Out.reserve(Fast.size() + Heap.size());
-  // The fast lane is already sorted and strictly precedes every heap
-  // slot; the heap's array order is not sorted, so sort the copies.
-  for (const Ref &R : Fast)
-    Out.push_back({R.T, Arena[R.Idx].Updates, Arena[R.Idx].Wakes});
+  auto expand = [&](const Ref &R) {
+    const SlotEvents &S = Arena[R.Idx];
+    PendingSlot P{R.T, {}, S.Wakes};
+    P.Updates.reserve(S.Recs.size());
+    for (const UpdateRec &U : S.Recs) {
+      if (!U.isWord()) {
+        P.Updates.push_back(S.General[U.Word]);
+        continue;
+      }
+      SigRef Whole;
+      Whole.Sig = U.Sig;
+      P.Updates.push_back(
+          {std::move(Whole), RtValue(IntValue(U.Width, U.Word)), U.Driver});
+    }
+    Out.push_back(std::move(P));
+  };
+  // The fast lane is already sorted (descending) and strictly precedes
+  // every heap slot; the heap's array order is not sorted, so sort the
+  // copies.
+  for (auto It = Fast.rbegin(); It != Fast.rend(); ++It)
+    expand(*It);
   size_t HeapBegin = Out.size();
   for (const Ref &R : Heap)
-    Out.push_back({R.T, Arena[R.Idx].Updates, Arena[R.Idx].Wakes});
+    expand(R);
   std::sort(Out.begin() + HeapBegin, Out.end(),
             [](const PendingSlot &A, const PendingSlot &B) {
               return A.T < B.T;

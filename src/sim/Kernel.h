@@ -9,9 +9,13 @@
 // fast lane holding the handful of pending delta/epsilon slots at the
 // head physical time, and a binary min-heap of future time slots. Slots
 // are recycled through a pool, so steady-state scheduling performs no
-// allocation. The wake set is computed through dense reverse indices —
-// entity watchers live in Design, dynamic process sensitivity in
-// WakeIndex — instead of per-process scans.
+// allocation. A slot holds one ordered stream of trivially copyable
+// update records: a whole-signal two-state drive of at most 64 bits is
+// the record itself and commits as a word compare and store; every
+// other drive keeps its SigRef/RtValue payload in the slot's side vector
+// and the record points at it. The wake set is computed through dense
+// reverse indices — entity watchers live in Design, dynamic process
+// sensitivity in WakeIndex — instead of per-process scans.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 namespace llhd {
@@ -88,7 +92,7 @@ public:
   /// the current values as the initial values shared by every run.
   /// Idempotent; called once by elaborate().
   void freeze();
-  bool frozen() const { return !L->Canon.empty(); }
+  bool frozen() const { return L->Frozen; }
 
   /// A fresh per-run view of a frozen table: shares the layout, values
   /// reset to the elaboration-time initial values, no driver slots.
@@ -102,6 +106,25 @@ public:
 
   /// Current (resolved) value of a sub-signal.
   RtValue read(const SigRef &Ref) const;
+  /// Storage of signal \p S when it is read and written whole, in place:
+  /// its root owns the storage (no alias record). Null when access needs
+  /// resolution. The pointer is stable for the run's lifetime, so
+  /// engines resolve it once at bind.
+  const RtValue *wholeStorage(SignalId S) const {
+    SignalId R = L->Store[S];
+    return R == InvalidSignal ? nullptr : &Values[R];
+  }
+  /// Probes the signal that the reference value \p Ref names into \p Dst.
+  /// An inline whole-signal reference to unaliased storage is a direct
+  /// load; anything else goes through read().
+  void probe(const RtValue &Ref, RtValue &Dst) const {
+    if (Ref.isWholeSigRef())
+      if (const RtValue *V = wholeStorage(Ref.sigId())) {
+        Dst = *V;
+        return;
+      }
+    Dst = read(Ref.sigRef());
+  }
   /// Whole current value of a signal.
   const RtValue &value(SignalId S) const { return Values[canonical(S)]; }
 
@@ -109,6 +132,27 @@ public:
   /// value changed. \p Driver identifies the driving statement instance
   /// for multi-driver resolution on nine-valued signals.
   bool write(const SigRef &Ref, const RtValue &V, uint64_t Driver);
+  /// write() of a whole-signal two-state value of \p Width <= 64 bits
+  /// held in \p Word (canonical: bits above the width zero). Unaliased
+  /// two-state storage of that width commits in place with a word
+  /// compare and store; any other target takes the general path.
+  bool writeWord(SignalId S, unsigned Width, uint64_t Word,
+                 uint64_t Driver) {
+    SignalId R = L->Store[S];
+    if (R != InvalidSignal) {
+      RtValue &SV = Values[R];
+      if (SV.isInt() && SV.intValue().width() == Width) {
+        uint64_t &W = SV.intValue().inlineWord();
+        if (W == Word)
+          return false;
+        W = Word;
+        return true;
+      }
+    }
+    SigRef Ref;
+    Ref.Sig = S;
+    return write(Ref, RtValue(IntValue(Width, Word)), Driver);
+  }
 
   const std::string &name(SignalId S) const { return L->Name[S]; }
   Type *type(SignalId S) const { return L->Ty[S]; }
@@ -154,6 +198,12 @@ private:
     std::vector<SigRef> Aliases;
     /// Precomputed canonical map (empty until freeze()).
     std::vector<SignalId> Canon;
+    /// Set by freeze(). Not keyed on Canon: a design without signals
+    /// freezes to an empty map.
+    bool Frozen = false;
+    /// Per signal: its storage root when whole-signal access needs no
+    /// alias resolution, else InvalidSignal (set at freeze()).
+    std::vector<SignalId> Store;
     /// Elaboration-time initial values (set at freeze()); the seed for
     /// every run's value vector.
     std::vector<RtValue> Init;
@@ -187,7 +237,7 @@ private:
 // Scheduler
 //===----------------------------------------------------------------------===//
 
-/// A pending signal update.
+/// A general pending signal update: any reference shape, any value.
 struct SigUpdate {
   SigRef Ref;
   RtValue Val;
@@ -198,6 +248,38 @@ struct SigUpdate {
 struct ProcWake {
   uint32_t Proc;
   uint64_t Gen;
+};
+
+/// One entry of a time slot's ordered update stream. A word record is a
+/// whole-signal, two-state drive of at most 64 bits and carries the
+/// value itself; a general record indexes the slot's side vector of
+/// SigUpdates. Both kinds share one stream, so commit order is
+/// scheduling order whatever the mix.
+struct UpdateRec {
+  /// Width of a general record.
+  static constexpr uint32_t General = ~uint32_t(0);
+  SignalId Sig;    ///< Word: the driven signal.
+  uint32_t Width;  ///< Word: the value's width; General otherwise.
+  uint64_t Word;   ///< Word: the value; general: side-vector index.
+  uint64_t Driver; ///< Word: the driver id (general: in the SigUpdate).
+
+  bool isWord() const { return Width != General; }
+};
+static_assert(std::is_trivially_copyable_v<UpdateRec>,
+              "update records must stay trivially copyable");
+
+/// The events of one time slot: the ordered update records, the general
+/// updates they index, and the process wakes.
+struct SlotEvents {
+  std::vector<UpdateRec> Recs;
+  std::vector<SigUpdate> General;
+  std::vector<ProcWake> Wakes;
+
+  void clear() {
+    Recs.clear();
+    General.clear();
+    Wakes.clear();
+  }
 };
 
 /// The (time, delta, epsilon) event wheel.
@@ -212,8 +294,30 @@ struct ProcWake {
 /// determinism).
 class Scheduler {
 public:
+  /// A whole-signal two-state drive of \p Width <= 64 bits; \p Word is
+  /// canonical (bits above the width zero).
+  void scheduleWord(Time T, SignalId Sig, unsigned Width, uint64_t Word,
+                    uint64_t Driver) {
+    assert(Width <= 64 && (Word & ~IntValue::maskOf(Width)) == 0 &&
+           "word records carry a canonical value of at most 64 bits");
+    slotForCached(T).Recs.push_back({Sig, Width, Word, Driver});
+  }
+  /// Any other drive: the payload goes to the slot's side vector.
   void scheduleUpdate(Time T, SigUpdate U) {
-    slotForCached(T).Updates.push_back(std::move(U));
+    SlotEvents &S = slotForCached(T);
+    S.Recs.push_back({U.Ref.Sig, UpdateRec::General, S.General.size(), 0});
+    S.General.push_back(std::move(U));
+  }
+  /// A drive from an RtValue engine: reference value \p Ref (a signal
+  /// reference) gets \p Val. Picks the word record when the shape fits.
+  void scheduleDrive(Time T, const RtValue &Ref, const RtValue &Val,
+                     uint64_t Driver) {
+    if (Ref.isWholeSigRef() && Val.isInt() && Val.intValue().isInline()) {
+      const IntValue &IV = Val.intValue();
+      scheduleWord(T, Ref.sigId(), IV.width(), IV.zextToU64(), Driver);
+      return;
+    }
+    scheduleUpdate(T, {Ref.sigRef(), Val, Driver});
   }
   void scheduleWake(Time T, ProcWake W) {
     slotForCached(T).Wakes.push_back(W);
@@ -223,15 +327,16 @@ public:
 
   Time nextTime() const {
     if (Heap.empty())
-      return Fast.front().T;
+      return Fast.back().T;
     if (Fast.empty())
       return Heap.front().T;
-    return std::min(Fast.front().T, Heap.front().T);
+    return std::min(Fast.back().T, Heap.front().T);
   }
 
-  /// Pops the earliest time slot into \p Updates / \p Wakes (cleared
-  /// first; capacity is reused across pops).
-  void pop(std::vector<SigUpdate> &Updates, std::vector<ProcWake> &Wakes);
+  /// Pops the earliest time slot into \p Out. Out's previous contents are
+  /// cleared and its vectors swapped into the recycled slot, so capacity
+  /// circulates and nothing is copied.
+  void pop(SlotEvents &Out);
 
   /// Event count statistics.
   uint64_t totalScheduled() const { return Scheduled; }
@@ -239,9 +344,10 @@ public:
   /// Restores the lifetime event counter from a checkpoint.
   void setTotalScheduled(uint64_t N) { Scheduled = N; }
 
-  /// A copied-out pending time slot, for checkpointing. Restore replays
-  /// slots through scheduleUpdate/scheduleWake in ascending time order,
-  /// which reproduces intra-slot scheduling order exactly.
+  /// A copied-out pending time slot, for checkpointing: the update
+  /// stream re-expanded to general updates in scheduling order. Restore
+  /// replays slots through scheduleUpdate/scheduleWake in ascending time
+  /// order, which reproduces intra-slot scheduling order exactly.
   struct PendingSlot {
     Time T;
     std::vector<SigUpdate> Updates;
@@ -255,35 +361,36 @@ private:
     Time T;
     uint32_t Idx; ///< Arena slot.
   };
-  struct Slot {
-    std::vector<SigUpdate> Updates;
-    std::vector<ProcWake> Wakes;
-  };
   struct HeapOrder { // std::*_heap builds a max-heap; invert for a min-heap.
     bool operator()(const Ref &A, const Ref &B) const { return B.T < A.T; }
   };
 
   /// Events arrive in same-time bursts (one process/entity activation
-  /// schedules several drives at one target), so a one-entry memo skips
-  /// the lane lookup for everything but the first event of a burst.
-  Slot &slotForCached(Time T) {
-    if (MemoValid && MemoT == T)
-      return Arena[MemoIdx];
-    Slot &S = slotFor(T);
-    MemoT = T;
-    MemoIdx = static_cast<uint32_t>(&S - Arena.data());
-    MemoValid = true;
+  /// schedules several drives at one target), sometimes interleaved with
+  /// a second target (a next-delta drive and a timer). A two-entry memo,
+  /// most recent first, skips the lane lookup for all but the first event
+  /// aimed at each; a pop drops only the entry of the slot it frees.
+  SlotEvents &slotForCached(Time T) {
+    if (Memo[0].Idx != NoSlot && Memo[0].T == T)
+      return Arena[Memo[0].Idx];
+    if (Memo[1].Idx != NoSlot && Memo[1].T == T) {
+      std::swap(Memo[0], Memo[1]);
+      return Arena[Memo[0].Idx];
+    }
+    SlotEvents &S = slotFor(T);
+    Memo[1] = Memo[0];
+    Memo[0] = {T, static_cast<uint32_t>(&S - Arena.data())};
     return S;
   }
 
-  Slot &slotFor(Time T);
+  SlotEvents &slotFor(Time T);
   uint32_t allocSlot();
-  void recycle(uint32_t Idx, std::vector<SigUpdate> &Updates,
-               std::vector<ProcWake> &Wakes);
+  /// Hands arena slot \p Idx's events to \p Out and frees the slot.
+  void take(uint32_t Idx, SlotEvents &Out);
 
-  /// Fast lane: slots with T.Fs <= HeadFs, sorted ascending by time.
-  /// Holds the current instant's delta/epsilon slots — almost always one
-  /// or two entries.
+  /// Fast lane: slots with T.Fs <= HeadFs, sorted descending by time so
+  /// the earliest pops off the back. Holds the current instant's
+  /// delta/epsilon slots — almost always one or two entries.
   std::vector<Ref> Fast;
   /// Heap lane: min-heap of slots with T.Fs > HeadFs. Equal-time events
   /// merge into one slot (scheduling order is preserved within a time);
@@ -294,12 +401,11 @@ private:
   /// The physical instant the fast lane is anchored to.
   uint64_t HeadFs = 0;
 
-  std::vector<Slot> Arena;
+  std::vector<SlotEvents> Arena;
   std::vector<uint32_t> FreeSlots;
-  /// One-entry schedule memo; invalidated on every pop.
-  Time MemoT;
-  uint32_t MemoIdx = 0;
-  bool MemoValid = false;
+  /// The schedule memo (see slotForCached).
+  static constexpr uint32_t NoSlot = ~uint32_t(0);
+  Ref Memo[2] = {{Time(), NoSlot}, {Time(), NoSlot}};
   uint64_t Scheduled = 0;
 };
 
@@ -381,23 +487,23 @@ public:
 
   Mode mode() const { return TheMode; }
 
+  /// Records one change. The digest is FNV-1a over (time, signal, the
+  /// bytes of V.toString()); Hash mode streams those bytes through
+  /// RtValue::format instead of building the string.
   void record(Time T, SignalId S, const RtValue &V) {
     if (TheMode == Mode::Off)
       return;
     ++NumChanges;
-    std::string Val = V.toString();
-    // FNV-1a over (time, signal, value).
-    auto mix = [&](uint64_t X) {
-      Digest ^= X;
-      Digest *= 1099511628211ull;
-    };
     mix(T.Fs);
     mix(T.Delta);
     mix(S);
-    for (char C : Val)
-      mix(static_cast<unsigned char>(C));
-    if (TheMode == Mode::Full)
+    if (TheMode == Mode::Full) {
+      std::string Val = V.toString();
+      mixBytes(Val.data(), Val.size());
       Changes.push_back({T, S, std::move(Val)});
+      return;
+    }
+    V.format([this](const char *P, size_t N) { mixBytes(P, N); });
   }
 
   uint64_t digest() const { return Digest; }
@@ -422,6 +528,19 @@ public:
   std::string dump(const SignalTable &Signals) const;
 
 private:
+  void mix(uint64_t X) {
+    Digest ^= X;
+    Digest *= 1099511628211ull;
+  }
+  void mixBytes(const char *P, size_t N) {
+    uint64_t D = Digest;
+    for (size_t I = 0; I != N; ++I) {
+      D ^= static_cast<unsigned char>(P[I]);
+      D *= 1099511628211ull;
+    }
+    Digest = D;
+  }
+
   Mode TheMode;
   uint64_t Digest = 1469598103934665603ull;
   uint64_t NumChanges = 0;

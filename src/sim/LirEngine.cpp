@@ -305,7 +305,7 @@ void LirEngine::runProcess(uint32_t PI) {
                                 Op.OpsCount, Op.Imm, Op.Origin);
         break;
       case LirOpc::Prb:
-        F[Op.Dst] = Signals.read(F[Op.A].sigRef());
+        Signals.probe(F[Op.A], F[Op.Dst]);
         break;
       case LirOpc::Drv:
         execDrv(Op, F, PS.Inst);
@@ -369,7 +369,7 @@ void LirEngine::runProcess(uint32_t PI) {
       F[Op.Dst] = F[Op.A];
       break;
     case LirOpc::Prb:
-      F[Op.Dst] = Signals.read(F[Op.A].sigRef());
+      Signals.probe(F[Op.A], F[Op.Dst]);
       break;
     case LirOpc::Drv:
       execDrv(Op, F, PS.Inst);
@@ -410,12 +410,11 @@ void LirEngine::runProcess(uint32_t PI) {
 
 void LirEngine::execReg(EntState &ES, const LirOp &Op, bool Initial) {
   const RtValue *F = ES.Frame.data();
-  SigRef Target = F[Op.A].sigRef();
+  const RtValue &Target = F[Op.A];
   execRegTriggers(*ES.L, Op, F, ES.RegPrev, ES.RegPrevValid, Initial,
                   [&](Time Delay, const RtValue &Val, uint32_t TI) {
-                    Sched.scheduleUpdate(
-                        driveTarget(Now, Delay),
-                        {Target, Val, driverId(ES.Inst, Op.Origin) + TI});
+                    Sched.scheduleDrive(driveTarget(Now, Delay), Target, Val,
+                                        driverId(ES.Inst, Op.Origin) + TI);
                     Sched.countScheduled(1);
                   });
 }
@@ -433,7 +432,7 @@ void LirEngine::evalEntity(uint32_t EI, bool Initial) {
                               Op.Imm, Op.Origin);
       break;
     case LirOpc::Prb:
-      F[Op.Dst] = Signals.read(F[Op.A].sigRef());
+      Signals.probe(F[Op.A], F[Op.Dst]);
       break;
     case LirOpc::Drv:
       execDrv(Op, F, ES.Inst);
@@ -442,13 +441,13 @@ void LirEngine::evalEntity(uint32_t EI, bool Initial) {
       execReg(ES, Op, Initial);
       break;
     case LirOpc::Del: {
-      RtValue Src = Signals.read(F[Op.B].sigRef());
+      RtValue Src;
+      Signals.probe(F[Op.B], Src);
       RtValue &Prev = ES.DelPrev[Op.Imm];
       if (Initial || Prev != Src) {
         Prev = Src;
-        Sched.scheduleUpdate(Now.advance(F[Op.Cc].timeValue()),
-                             {F[Op.A].sigRef(), Src,
-                              driverId(ES.Inst, Op.Origin)});
+        Sched.scheduleDrive(Now.advance(F[Op.Cc].timeValue()), F[Op.A], Src,
+                            driverId(ES.Inst, Op.Origin));
         Sched.countScheduled(1);
       }
       break;

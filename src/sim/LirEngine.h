@@ -209,9 +209,8 @@ private:
   void execDrv(const LirOp &Op, const RtValue *F, const void *Tag) {
     if (Op.Dd >= 0 && !F[Op.Dd].isTruthy())
       return;
-    Sched.scheduleUpdate(driveTarget(Now, F[Op.Cc].timeValue()),
-                         {F[Op.A].sigRef(), F[Op.B],
-                          driverId(Tag, Op.Origin)});
+    Sched.scheduleDrive(driveTarget(Now, F[Op.Cc].timeValue()), F[Op.A],
+                        F[Op.B], driverId(Tag, Op.Origin));
     Sched.countScheduled(1);
   }
 

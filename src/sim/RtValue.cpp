@@ -40,30 +40,7 @@ bool RtValue::operator==(const RtValue &RHS) const {
 }
 
 std::string RtValue::toString() const {
-  switch (K) {
-  case Kind::Invalid:
-    return "<invalid>";
-  case Kind::Int:
-    return IV.toString();
-  case Kind::Logic:
-    return std::to_string(LV.width()) + "'b" + LV.toString();
-  case Kind::TimeVal:
-    return TV.toString();
-  case Kind::Pointer:
-    return "ptr:" + std::to_string(Ptr);
-  case Kind::Signal:
-    return "sig:" + std::to_string(sigId());
-  case Kind::Array:
-  case Kind::Struct: {
-    std::string S = K == Kind::Array ? "[" : "{";
-    const std::vector<RtValue> &Es = *Agg;
-    for (unsigned I = 0; I != Es.size(); ++I) {
-      if (I != 0)
-        S += ", ";
-      S += Es[I].toString();
-    }
-    return S + (K == Kind::Array ? "]" : "}");
-  }
-  }
-  return "";
+  std::string S;
+  format([&S](const char *P, size_t N) { S.append(P, N); });
+  return S;
 }

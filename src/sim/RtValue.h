@@ -17,6 +17,7 @@
 #ifndef LLHD_SIM_RTVALUE_H
 #define LLHD_SIM_RTVALUE_H
 
+#include "support/Format.h"
 #include "support/IntValue.h"
 #include "support/LogicVec.h"
 #include "support/Time.h"
@@ -157,6 +158,12 @@ public:
     RHS.K = Kind::Invalid;
   }
   RtValue &operator=(const RtValue &RHS) {
+    // Scalar integer onto scalar integer, the dominant frame and signal
+    // store: assign in place, no kind switch.
+    if (K == Kind::Int && RHS.K == Kind::Int) {
+      IV = RHS.IV;
+      return *this;
+    }
     if (this == &RHS)
       return *this;
     destroy();
@@ -205,6 +212,10 @@ public:
     assert(isInt() && "not an integer value");
     return IV;
   }
+  IntValue &intValue() {
+    assert(isInt() && "not an integer value");
+    return IV;
+  }
   const LogicVec &logicValue() const {
     assert(isLogic() && "not a logic value");
     return LV;
@@ -224,6 +235,11 @@ public:
     R.BitOff = SRI.BitOff;
     R.BitLen = SRI.BitLen;
     return R;
+  }
+  /// True for an inline reference to a whole signal (no path, no
+  /// range): the shape every bound signal argument has.
+  bool isWholeSigRef() const {
+    return K == Kind::Signal && !SigBoxed && SRI.BitOff < 0;
   }
   /// The referenced signal id without materialising a SigRef.
   SignalId sigId() const {
@@ -251,9 +267,66 @@ public:
 
   /// Renders for traces and diagnostics, e.g. "42", "4'b01XZ", "[1, 2]".
   std::string toString() const;
+  /// Streams toString()'s bytes into \p Out (support/Format.h) without
+  /// building a string; toString() is this with an appending sink.
+  template <typename Sink> void format(Sink &&Out) const {
+    switch (K) {
+    case Kind::Invalid:
+      Out("<invalid>", 9);
+      return;
+    case Kind::Int:
+      IV.formatDecimal(Out);
+      return;
+    case Kind::Logic:
+      writeU64(LV.width(), Out);
+      Out("'b", 2);
+      LV.formatBits(Out);
+      return;
+    case Kind::TimeVal:
+      TV.format(Out);
+      return;
+    case Kind::Pointer:
+      Out("ptr:", 4);
+      writeU64(Ptr, Out);
+      return;
+    case Kind::Signal:
+      Out("sig:", 4);
+      writeU64(sigId(), Out);
+      return;
+    case Kind::Array:
+    case Kind::Struct: {
+      Out(K == Kind::Array ? "[" : "{", 1);
+      const std::vector<RtValue> &Es = *Agg;
+      for (size_t I = 0; I != Es.size(); ++I) {
+        if (I != 0)
+          Out(", ", 2);
+        Es[I].format(Out);
+      }
+      Out(K == Kind::Array ? "]" : "}", 1);
+      return;
+    }
+    }
+  }
 
 private:
+  /// Releases the payload. Inline payloads (the scalar data path) own
+  /// nothing and return at once; only heap payloads take the switch.
   void destroy() {
+    switch (K) {
+    case Kind::Int:
+      if (IV.isInline())
+        return;
+      break;
+    case Kind::Invalid:
+    case Kind::TimeVal:
+    case Kind::Pointer:
+      return;
+    default:
+      break;
+    }
+    destroyPayload();
+  }
+  void destroyPayload() {
     switch (K) {
     case Kind::Int:
       IV.~IntValue();

@@ -413,19 +413,54 @@ unsigned IntValue::countLeadingZeros() const {
 }
 
 std::string IntValue::toString() const {
-  if (fitsU64())
-    return std::to_string(zextToU64());
-  IntValue Ten(Width, 10);
-  IntValue V = *this;
   std::string S;
-  while (!V.isZero()) {
-    S += char('0' + V.urem(Ten).zextToU64());
-    V = V.udiv(Ten);
-  }
-  if (S.empty())
-    S = "0";
-  std::reverse(S.begin(), S.end());
+  formatDecimal([&S](const char *P, size_t N) { S.append(P, N); });
   return S;
+}
+
+void IntValue::formatWide(void (*Out)(void *, const char *, size_t),
+                          void *Ctx) const {
+  // Repeated division by 10^19 on a copy of the words yields base-10^19
+  // chunks, least significant first. Up to 1024 bits the scratch lives
+  // on the stack.
+  constexpr uint64_t ChunkBase = 10000000000000000000ull;
+  constexpr unsigned StackWords = 16;
+  unsigned NW = numWords();
+  uint64_t WStack[StackWords], CStack[StackWords + 2];
+  std::vector<uint64_t> WHeap, CHeap;
+  uint64_t *W = WStack, *Chunks = CStack;
+  if (NW > StackWords) {
+    WHeap.resize(NW);
+    CHeap.resize(NW + 2);
+    W = WHeap.data();
+    Chunks = CHeap.data();
+  }
+  std::memcpy(W, words(), NW * sizeof(uint64_t));
+  unsigned Top = NW, NC = 0;
+  while (Top != 0 && W[Top - 1] == 0)
+    --Top;
+  do {
+    unsigned __int128 Rem = 0;
+    for (unsigned I = Top; I-- > 0;) {
+      unsigned __int128 Cur = (Rem << 64) | W[I];
+      W[I] = static_cast<uint64_t>(Cur / ChunkBase);
+      Rem = Cur % ChunkBase;
+    }
+    Chunks[NC++] = static_cast<uint64_t>(Rem);
+    while (Top != 0 && W[Top - 1] == 0)
+      --Top;
+  } while (Top != 0);
+  // The leading chunk prints bare, the rest zero-padded to 19 digits.
+  char Buf[20];
+  const char *B = formatU64(Chunks[NC - 1], Buf + sizeof(Buf));
+  Out(Ctx, B, static_cast<size_t>(Buf + sizeof(Buf) - B));
+  for (unsigned I = NC - 1; I-- > 0;) {
+    char *E = Buf + sizeof(Buf);
+    char *D = formatU64(Chunks[I], E);
+    while (E - D < 19)
+      *--D = '0';
+    Out(Ctx, D, 19);
+  }
 }
 
 std::string IntValue::toHexString() const {

@@ -15,10 +15,13 @@
 #ifndef LLHD_SUPPORT_INTVALUE_H
 #define LLHD_SUPPORT_INTVALUE_H
 
+#include "support/Format.h"
+
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace llhd {
@@ -101,6 +104,12 @@ public:
   static IntValue allOnes(unsigned Width);
 
   unsigned width() const { return Width; }
+  /// The inline word of a width <= 64 value, for in-place stores that
+  /// keep the canonical form (bits above the width zero).
+  uint64_t &inlineWord() {
+    assert(isInline() && "not an inline value");
+    return Word;
+  }
   /// True if the words live in the inline storage (width <= 64).
   bool isInline() const { return Width <= 64; }
   unsigned numWords() const { return Width <= 64 ? 1 : (Width + 63) / 64; }
@@ -202,6 +211,18 @@ public:
 
   /// Renders as decimal (unsigned).
   std::string toString() const;
+  /// Streams toString()'s bytes into \p Out (support/Format.h). Values
+  /// that fit 64 bits format on the stack.
+  template <typename Sink> void formatDecimal(Sink &&Out) const {
+    if (fitsU64())
+      return writeU64(zextToU64(), Out);
+    using SinkT = std::remove_reference_t<Sink>;
+    formatWide(
+        [](void *C, const char *P, size_t N) {
+          (*static_cast<SinkT *>(C))(P, N);
+        },
+        const_cast<void *>(static_cast<const void *>(&Out)));
+  }
   /// Renders as hexadecimal with "0x" prefix.
   std::string toHexString() const;
 
@@ -230,6 +251,10 @@ private:
   uint64_t *words() { return isInline() ? &Word : Ptr; }
 
   void clearUnusedBits() { words()[numWords() - 1] &= maskOf(Width); }
+
+  /// formatDecimal() for values above 64 bits.
+  void formatWide(void (*Out)(void *, const char *, size_t),
+                  void *Ctx) const;
 
   unsigned Width;
   union {

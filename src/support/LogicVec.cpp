@@ -6,12 +6,6 @@ using namespace llhd;
 
 static constexpr unsigned NumLogic = 9;
 
-char llhd::logicToChar(Logic L) {
-  static const char Chars[NumLogic] = {'U', 'X', '0', '1', 'Z',
-                                       'W', 'L', 'H', '-'};
-  return Chars[static_cast<unsigned>(L)];
-}
-
 Logic llhd::logicFromChar(char C) {
   switch (C) {
   case 'U': case 'u': return Logic::U;
@@ -254,8 +248,7 @@ LogicVec LogicVec::insertBits(unsigned Offset, const LogicVec &Src) const {
 std::string LogicVec::toString() const {
   std::string S;
   S.reserve(Width);
-  for (unsigned I = Width; I-- > 0;)
-    S += logicToChar(bit(I));
+  formatBits([&S](const char *P, size_t N) { S.append(P, N); });
   return S;
 }
 

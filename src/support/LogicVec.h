@@ -37,7 +37,9 @@ enum class Logic : uint8_t {
 };
 
 /// Renders a logic value as its IEEE 1164 character (U X 0 1 Z W L H -).
-char logicToChar(Logic L);
+inline char logicToChar(Logic L) {
+  return "UX01ZWLH-"[static_cast<unsigned>(L)];
+}
 /// Parses an IEEE 1164 character; asserts on invalid input.
 Logic logicFromChar(char C);
 
@@ -169,6 +171,21 @@ public:
 
   /// Renders most-significant bit first, e.g. "01XZ".
   std::string toString() const;
+  /// Streams toString()'s bytes into \p Out (support/Format.h) in
+  /// stack-buffered pieces.
+  template <typename Sink> void formatBits(Sink &&Out) const {
+    char Buf[64];
+    size_t N = 0;
+    for (unsigned I = Width; I-- > 0;) {
+      Buf[N++] = logicToChar(bit(I));
+      if (N == sizeof(Buf)) {
+        Out(Buf, N);
+        N = 0;
+      }
+    }
+    if (N)
+      Out(Buf, N);
+  }
 
   size_t hash() const;
 

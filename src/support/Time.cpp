@@ -7,27 +7,8 @@
 using namespace llhd;
 
 std::string Time::toString() const {
-  // Pick the largest unit that divides the femtosecond count evenly.
-  static const struct {
-    const char *Suffix;
-    uint64_t Scale;
-  } Units[] = {{"s", 1000000000000000ull},
-               {"ms", 1000000000000ull},
-               {"us", 1000000000ull},
-               {"ns", 1000000ull},
-               {"ps", 1000ull},
-               {"fs", 1ull}};
   std::string S;
-  for (const auto &U : Units) {
-    if (Fs % U.Scale == 0) {
-      S = std::to_string(Fs / U.Scale) + U.Suffix;
-      break;
-    }
-  }
-  if (Delta != 0)
-    S += " " + std::to_string(Delta) + "d";
-  if (Eps != 0)
-    S += " " + std::to_string(Eps) + "e";
+  format([&S](const char *P, size_t N) { S.append(P, N); });
   return S;
 }
 

@@ -9,6 +9,8 @@
 #ifndef LLHD_SUPPORT_TIME_H
 #define LLHD_SUPPORT_TIME_H
 
+#include "support/Format.h"
+
 #include <cstdint>
 #include <string>
 #include <tuple>
@@ -56,6 +58,34 @@ struct Time {
 
   /// Renders like the assembly format, e.g. "1ns", "100ps 2d 1e".
   std::string toString() const;
+  /// Streams toString()'s bytes into \p Out (support/Format.h). The unit
+  /// is the largest that divides the femtosecond count evenly.
+  template <typename Sink> void format(Sink &&Out) const {
+    static constexpr struct {
+      const char *Suffix;
+      size_t Len;
+      uint64_t Scale;
+    } Units[] = {{"s", 1, 1000000000000000ull}, {"ms", 2, 1000000000000ull},
+                 {"us", 2, 1000000000ull},      {"ns", 2, 1000000ull},
+                 {"ps", 2, 1000ull},            {"fs", 2, 1ull}};
+    for (const auto &U : Units) {
+      if (Fs % U.Scale == 0) {
+        writeU64(Fs / U.Scale, Out);
+        Out(U.Suffix, U.Len);
+        break;
+      }
+    }
+    if (Delta != 0) {
+      Out(" ", 1);
+      writeU64(Delta, Out);
+      Out("d", 1);
+    }
+    if (Eps != 0) {
+      Out(" ", 1);
+      writeU64(Eps, Out);
+      Out("e", 1);
+    }
+  }
 
   /// Parses a physical time with unit suffix (fs/ps/ns/us/ms/s) and
   /// optional "Nd"/"Ne" suffixes, e.g. "2ns", "0s 1d". Returns false on

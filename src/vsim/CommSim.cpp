@@ -105,7 +105,7 @@ CsUnit compileUnit(const LirUnit &L) {
     }
     case LirOpc::Prb:
       CU.Ops.push_back([Op, Next](CsExec &X) {
-        X.R[Op.Dst] = X.Eng->Signals->read(X.R[Op.A].sigRef());
+        X.Eng->Signals->probe(X.R[Op.A], X.R[Op.Dst]);
         return Next;
       });
       break;
@@ -113,10 +113,9 @@ CsUnit compileUnit(const LirUnit &L) {
       CU.Ops.push_back([Op, Next](CsExec &X) {
         if (Op.Dd >= 0 && !X.R[Op.Dd].isTruthy())
           return Next;
-        X.Eng->Sched->scheduleUpdate(
-            driveTarget(*X.Eng->Now, X.R[Op.Cc].timeValue()),
-            {X.R[Op.A].sigRef(), X.R[Op.B],
-             csDriverId(X.InstanceTag, Op.Origin)});
+        X.Eng->Sched->scheduleDrive(
+            driveTarget(*X.Eng->Now, X.R[Op.Cc].timeValue()), X.R[Op.A],
+            X.R[Op.B], csDriverId(X.InstanceTag, Op.Origin));
         X.Eng->Sched->countScheduled(1);
         return Next;
       });
@@ -202,15 +201,15 @@ CsUnit compileUnit(const LirUnit &L) {
     case LirOpc::Reg: {
       const LirUnit *LP = &L;
       CU.Ops.push_back([Op, LP, Next](CsExec &X) {
-        SigRef Target = X.R[Op.A].sigRef();
+        const RtValue &Target = X.R[Op.A];
         // The fire/previous-sample semantics are the shared
         // execRegTriggers; only the scheduling hookup is CommSim's.
         execRegTriggers(
             *LP, Op, X.R, *X.RegPrev, *X.RegPrevValid, X.Initial,
             [&](Time Delay, const RtValue &Val, uint32_t TI) {
-              X.Eng->Sched->scheduleUpdate(
-                  driveTarget(*X.Eng->Now, Delay),
-                  {Target, Val, csDriverId(X.InstanceTag, Op.Origin) + TI});
+              X.Eng->Sched->scheduleDrive(
+                  driveTarget(*X.Eng->Now, Delay), Target, Val,
+                  csDriverId(X.InstanceTag, Op.Origin) + TI);
               X.Eng->Sched->countScheduled(1);
             });
         return Next;
@@ -219,14 +218,14 @@ CsUnit compileUnit(const LirUnit &L) {
     }
     case LirOpc::Del:
       CU.Ops.push_back([Op, Next](CsExec &X) {
-        RtValue Cur = X.Eng->Signals->read(X.R[Op.B].sigRef());
+        RtValue Cur;
+        X.Eng->Signals->probe(X.R[Op.B], Cur);
         RtValue &Prev = (*X.DelPrev)[Op.Imm];
         if (X.Initial || Prev != Cur) {
           Prev = Cur;
-          X.Eng->Sched->scheduleUpdate(
-              X.Eng->Now->advance(X.R[Op.Cc].timeValue()),
-              {X.R[Op.A].sigRef(), Cur,
-               csDriverId(X.InstanceTag, Op.Origin)});
+          X.Eng->Sched->scheduleDrive(
+              X.Eng->Now->advance(X.R[Op.Cc].timeValue()), X.R[Op.A], Cur,
+              csDriverId(X.InstanceTag, Op.Origin));
           X.Eng->Sched->countScheduled(1);
         }
         return Next;

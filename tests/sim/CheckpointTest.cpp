@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "asm/Parser.h"
 #include "blaze/Blaze.h"
 #include "designs/Designs.h"
 #include "moore/Compiler.h"
@@ -268,6 +269,128 @@ TEST(Checkpoint, BlazeForcedDeoptResume) {
     EXPECT_EQ(WCut.text() + WRes.text(), WRef.text())
         << (DeoptFirst ? "deopt->jit" : "jit->deopt")
         << ": VCD not byte-identical";
+  }
+}
+
+/// Every nanosecond one process drives, into the slot it also wakes in:
+/// a whole i8 (word record), a whole array and an element sub-signal
+/// (general records), then the i8 again (a second word record for the
+/// same signal, which must win). A checkpoint at any instant boundary
+/// therefore holds both record kinds interleaved in one pending slot.
+const char *MixedSlotSrc = R"(
+entity @top () -> () {
+  %z8 = const i8 0
+  %arr0 = [i8 %z8, %z8]
+  %a = sig i8 %z8
+  %mem = sig [2 x i8] %arr0
+  %hi = extf i8$ %mem, 1
+  inst @gen () -> (i8$ %a, [2 x i8]$ %mem, i8$ %hi)
+}
+proc @gen () -> (i8$ %a, [2 x i8]$ %mem, i8$ %hi) {
+entry:
+  %one = const i8 1
+  %t = const time 1ns
+  br %loop
+loop:
+  %v = prb i8$ %a
+  %n = add i8 %v, %one
+  %n2 = add i8 %n, %one
+  %el = [i8 %n, %v]
+  drv i8$ %a, %n after %t
+  drv [2 x i8]$ %mem, %el after %t
+  drv i8$ %hi, %n2 after %t
+  drv i8$ %a, %n2 after %t
+  wait %loop for %t
+}
+)";
+
+TEST(Checkpoint, MixedRecordSlotResumes) {
+  Context Ctx;
+  auto parse = [&](const std::string &Name) {
+    auto M = std::make_unique<Module>(Ctx, Name);
+    ParseResult R = parseModule(MixedSlotSrc, *M);
+    EXPECT_TRUE(R.Ok) << R.Error;
+    return M;
+  };
+  SimOptions Base;
+  Base.MaxTime = Time::ns(40);
+
+  // The reference: one uninterrupted interpreter run.
+  auto MRef = parse("ref");
+  InterpSim Ref(elaborate(*MRef, "top"), Base);
+  SimStats SRef = Ref.run();
+  ASSERT_GE(SRef.Steps, 20u);
+  // Each instant commits 2 x a (the second wins), mem and mem[1].
+  ASSERT_GE(Ref.trace().numChanges(), 3 * 39u);
+  // Scheduling order decides: at 40ns %a = 2 * 40 (the second word
+  // drive), and the element drive of mem[1] lands after the whole-array
+  // drive, so %mem = [79, 80].
+  auto valueOf = [&](const std::string &Suffix) {
+    const SignalTable &S = Ref.signals();
+    for (SignalId I = 0; I != S.size(); ++I) {
+      const std::string &N = S.name(I);
+      if (N.size() >= Suffix.size() &&
+          N.compare(N.size() - Suffix.size(), Suffix.size(), Suffix) == 0)
+        return S.value(I);
+    }
+    return RtValue();
+  };
+  EXPECT_EQ(valueOf("/a").toString(), "80");
+  EXPECT_EQ(valueOf("/mem").toString(), "[79, 80]");
+
+  enum class Kind { Interp, JitOn, JitOff, Deopt };
+  for (Kind K : {Kind::Interp, Kind::JitOn, Kind::JitOff, Kind::Deopt}) {
+    auto make = [&](Module &M) -> std::unique_ptr<BlazeSim> {
+      BlazeSim::BlazeOptions BO;
+      static_cast<SimOptions &>(BO) = Base;
+      if (K == Kind::JitOff)
+        BO.Jit.M = jit::JitOptions::Mode::Off;
+      if (K == Kind::Deopt)
+        BO.Jit.ForceDeopt = "*";
+      auto Sim = std::make_unique<BlazeSim>(M, "top", BO);
+      EXPECT_TRUE(Sim->valid()) << Sim->error();
+      return Sim;
+    };
+    const char *Name = K == Kind::Interp  ? "interp"
+                       : K == Kind::JitOn ? "blaze jit on"
+                       : K == Kind::JitOff ? "blaze jit off"
+                                           : "blaze deopted";
+    auto MCut = parse("cut");
+    auto MRes = parse("res");
+    std::vector<uint8_t> Image;
+    std::string Err;
+    SimStats SRes;
+    uint64_t Digest = 0, Changes = 0;
+    auto cutAndResume = [&](auto &Cut, auto &Res) {
+      Cut.options().RC.MaxSteps = SRef.Steps / 2;
+      Cut.options().RC.CheckpointOnStop = true;
+      Cut.options().RC.Checkpoint = [&](Time) {
+        Image.clear();
+        Cut.checkpoint(Image);
+        return true;
+      };
+      ASSERT_EQ(Cut.run().Stop, StopReason::DeltaBudget) << Name;
+      ASSERT_TRUE(Res.restore(Image, Err)) << Name << ": " << Err;
+      SRes = Res.run();
+      Digest = Res.trace().digest();
+      Changes = Res.trace().numChanges();
+    };
+    if (K == Kind::Interp) {
+      InterpSim Cut(elaborate(*MCut, "top"), Base);
+      InterpSim Res(elaborate(*MRes, "top"), Base);
+      cutAndResume(Cut, Res);
+    } else {
+      auto Cut = make(*MCut);
+      auto Res = make(*MRes);
+      if (K == Kind::JitOn)
+        EXPECT_EQ(Cut->jitStats().NativeProcs, 1u)
+            << "the mixed-record process should run natively";
+      cutAndResume(*Cut, *Res);
+    }
+    EXPECT_EQ(SRes.EndTime, SRef.EndTime) << Name;
+    EXPECT_EQ(SRes.Steps, SRef.Steps) << Name;
+    EXPECT_EQ(Changes, Ref.trace().numChanges()) << Name;
+    EXPECT_EQ(Digest, Ref.trace().digest()) << Name << ": digest diverges";
   }
 }
 

@@ -24,14 +24,19 @@ SigUpdate update(uint64_t Driver) {
   return U;
 }
 
+/// Driver id of the popped slot's \p I-th update, whichever record kind.
+uint64_t driverOf(const SlotEvents &E, size_t I) {
+  const UpdateRec &R = E.Recs[I];
+  return R.isWord() ? R.Driver : E.General[R.Word].Driver;
+}
+
 /// Drains the wheel, returning the popped times in order.
 std::vector<Time> drain(Scheduler &S) {
   std::vector<Time> Order;
-  std::vector<SigUpdate> U;
-  std::vector<ProcWake> W;
+  SlotEvents Ev;
   while (!S.empty()) {
     Order.push_back(S.nextTime());
-    S.pop(U, W);
+    S.pop(Ev);
   }
   return Order;
 }
@@ -75,19 +80,18 @@ TEST(SchedulerTest, EqualTimeEventsMergeInScheduleOrder) {
     S.scheduleUpdate(Future, update(100 + I));
   }
 
-  std::vector<SigUpdate> U;
-  std::vector<ProcWake> W;
+  SlotEvents Ev;
   ASSERT_EQ(S.nextTime(), Current);
-  S.pop(U, W);
-  ASSERT_EQ(U.size(), 4u);
+  S.pop(Ev);
+  ASSERT_EQ(Ev.Recs.size(), 4u);
   for (uint64_t I = 0; I != 4; ++I)
-    EXPECT_EQ(U[I].Driver, I);
+    EXPECT_EQ(driverOf(Ev, I), I);
 
   ASSERT_EQ(S.nextTime(), Future);
-  S.pop(U, W);
-  ASSERT_EQ(U.size(), 4u);
+  S.pop(Ev);
+  ASSERT_EQ(Ev.Recs.size(), 4u);
   for (uint64_t I = 0; I != 4; ++I)
-    EXPECT_EQ(U[I].Driver, 100 + I);
+    EXPECT_EQ(driverOf(Ev, I), 100 + I);
   EXPECT_TRUE(S.empty());
 }
 
@@ -95,17 +99,16 @@ TEST(SchedulerTest, HeapLaneOrdersInterleavedPastAndFutureSchedules) {
   // Schedules arrive out of order, interleaved with pops that advance
   // the head instant; pops must still come out in global time order.
   Scheduler S;
-  std::vector<SigUpdate> U;
-  std::vector<ProcWake> W;
+  SlotEvents Ev;
 
   S.scheduleUpdate(Time::ns(5), update(5));
   S.scheduleUpdate(Time::ns(1), update(1));
   S.scheduleUpdate(Time::ns(9), update(9));
 
   EXPECT_EQ(S.nextTime(), Time::ns(1));
-  S.pop(U, W); // Head instant is now 1ns.
-  ASSERT_EQ(U.size(), 1u);
-  EXPECT_EQ(U[0].Driver, 1u);
+  S.pop(Ev); // Head instant is now 1ns.
+  ASSERT_EQ(Ev.Recs.size(), 1u);
+  EXPECT_EQ(driverOf(Ev, 0), 1u);
 
   // Current-instant deltas (fast lane), a nearer future time than the
   // pending 5ns, and one at a pending instant's delta.
@@ -127,39 +130,84 @@ TEST(SchedulerTest, SameInstantHeapSlotsMigrateToFastLane) {
   // the first anchors the instant; the second must still pop next, and
   // new same-instant schedules merge with it.
   Scheduler S;
-  std::vector<SigUpdate> U;
-  std::vector<ProcWake> W;
+  SlotEvents Ev;
   S.scheduleUpdate(Time::ns(2), update(1));
   S.scheduleUpdate(Time(Time::ns(2).Fs, 1, 0), update(2));
 
-  S.pop(U, W);
-  ASSERT_EQ(U.size(), 1u);
-  EXPECT_EQ(U[0].Driver, 1u);
+  S.pop(Ev);
+  ASSERT_EQ(Ev.Recs.size(), 1u);
+  EXPECT_EQ(driverOf(Ev, 0), 1u);
 
   // Merge into the migrated delta-1 slot.
   S.scheduleUpdate(Time(Time::ns(2).Fs, 1, 0), update(3));
   EXPECT_EQ(S.nextTime(), Time(Time::ns(2).Fs, 1, 0));
-  S.pop(U, W);
-  ASSERT_EQ(U.size(), 2u);
-  EXPECT_EQ(U[0].Driver, 2u);
-  EXPECT_EQ(U[1].Driver, 3u);
+  S.pop(Ev);
+  ASSERT_EQ(Ev.Recs.size(), 2u);
+  EXPECT_EQ(driverOf(Ev, 0), 2u);
+  EXPECT_EQ(driverOf(Ev, 1), 3u);
+  EXPECT_TRUE(S.empty());
+}
+
+TEST(SchedulerTest, WordAndGeneralRecordsPopInSchedulingOrder) {
+  // One slot receives word records (whole-signal scalar drives) and
+  // general records (sub-signal and wide drives) interleaved, including
+  // two word drives and one sub-signal drive of signal 3. The stream pops
+  // in scheduling order, each general record indexes its own payload, and
+  // the checkpoint view re-expands word records in place.
+  Scheduler S;
+  Time T(0, 1, 0);
+  SigRef Whole3;
+  Whole3.Sig = 3;
+  SigRef Low3 = Whole3.bits(0, 4);
+  SigRef Whole5;
+  Whole5.Sig = 5;
+  S.scheduleWord(T, 3, 8, 0x11, 1);
+  S.scheduleUpdate(T, update(2));
+  S.scheduleDrive(T, RtValue(Whole3), RtValue(IntValue(8, 0x22)), 3);
+  S.scheduleDrive(T, RtValue(Low3), RtValue(IntValue(4, 0x5)), 4);
+  S.scheduleDrive(T, RtValue(Whole5), RtValue(IntValue(128, 7)), 5);
+  S.scheduleWord(T, 5, 16, 0xbeef, 6);
+
+  const bool IsWord[] = {true, false, true, false, false, true};
+  std::vector<Scheduler::PendingSlot> P = S.pendingSlots();
+  ASSERT_EQ(P.size(), 1u);
+  ASSERT_EQ(P[0].Updates.size(), 6u);
+  for (uint64_t I = 0; I != 6; ++I)
+    EXPECT_EQ(P[0].Updates[I].Driver, I + 1);
+  EXPECT_EQ(P[0].Updates[0].Ref, Whole3);
+  EXPECT_EQ(P[0].Updates[0].Val, RtValue(IntValue(8, 0x11)));
+  EXPECT_EQ(P[0].Updates[3].Ref, Low3);
+  EXPECT_EQ(P[0].Updates[5].Val, RtValue(IntValue(16, 0xbeef)));
+
+  SlotEvents Ev;
+  S.pop(Ev);
+  ASSERT_EQ(Ev.Recs.size(), 6u);
+  ASSERT_EQ(Ev.General.size(), 3u);
+  for (uint64_t I = 0; I != 6; ++I) {
+    EXPECT_EQ(Ev.Recs[I].isWord(), IsWord[I]) << "record " << I;
+    EXPECT_EQ(driverOf(Ev, I), I + 1) << "record " << I;
+  }
+  EXPECT_EQ(Ev.Recs[2].Sig, 3u);
+  EXPECT_EQ(Ev.Recs[2].Width, 8u);
+  EXPECT_EQ(Ev.Recs[2].Word, 0x22u);
+  EXPECT_EQ(Ev.General[Ev.Recs[3].Word].Ref, Low3);
+  EXPECT_EQ(Ev.General[Ev.Recs[4].Word].Val, RtValue(IntValue(128, 7)));
   EXPECT_TRUE(S.empty());
 }
 
 TEST(SchedulerTest, WakesAndUpdatesShareSlots) {
   Scheduler S;
-  std::vector<SigUpdate> U;
-  std::vector<ProcWake> W;
+  SlotEvents Ev;
   S.scheduleWake(Time::ns(1), {7, 42});
   S.scheduleUpdate(Time::ns(1), update(1));
   S.scheduleWake(Time::ns(1), {8, 43});
 
-  S.pop(U, W);
-  ASSERT_EQ(U.size(), 1u);
-  ASSERT_EQ(W.size(), 2u);
-  EXPECT_EQ(W[0].Proc, 7u);
-  EXPECT_EQ(W[0].Gen, 42u);
-  EXPECT_EQ(W[1].Proc, 8u);
+  S.pop(Ev);
+  ASSERT_EQ(Ev.Recs.size(), 1u);
+  ASSERT_EQ(Ev.Wakes.size(), 2u);
+  EXPECT_EQ(Ev.Wakes[0].Proc, 7u);
+  EXPECT_EQ(Ev.Wakes[0].Gen, 42u);
+  EXPECT_EQ(Ev.Wakes[1].Proc, 8u);
   EXPECT_TRUE(S.empty());
 }
 

@@ -166,6 +166,43 @@ TEST(IntValue, ToStringDecimal) {
   EXPECT_EQ(Big.toString(), "340282366920938463463374607431768211455");
 }
 
+TEST(IntValue, ToStringMatchesDigitByDigitReference) {
+  // toString() streams through formatDecimal: a digit-pair table up to
+  // 64 bits, base-10^19 chunks above, with stack scratch up to 1024 bits
+  // and heap scratch beyond. The reference divides by ten per digit.
+  auto reference = [](const IntValue &In) {
+    if (In.isZero())
+      return std::string("0");
+    // Four spare bits so that ten is representable at every width.
+    IntValue V = In.zext(In.width() + 4);
+    IntValue Ten(V.width(), 10);
+    std::string S;
+    while (!V.isZero()) {
+      S.insert(S.begin(), char('0' + V.urem(Ten).zextToU64()));
+      V = V.udiv(Ten);
+    }
+    return S;
+  };
+  uint64_t X = 0x9e3779b97f4a7c15ull;
+  for (unsigned W : {1u, 7u, 63u, 64u, 65u, 127u, 128u, 200u, 1023u, 1024u,
+                     1025u, 1500u}) {
+    std::vector<uint64_t> Ws((W + 63) / 64);
+    for (uint64_t &Wd : Ws) {
+      X ^= X << 13;
+      X ^= X >> 7;
+      X ^= X << 17;
+      Wd = X;
+    }
+    IntValue V(W, Ws);
+    EXPECT_EQ(V.toString(), reference(V)) << "width " << W;
+    // Chunk boundaries: a value whose low chunk has leading zeros.
+    IntValue P = IntValue(W, 1).shl(W > 64 ? 64 : W - 1);
+    EXPECT_EQ(P.toString(), reference(P)) << "power of two, width " << W;
+  }
+  EXPECT_EQ(IntValue(64, ~0ull).toString(), "18446744073709551615");
+  EXPECT_EQ(IntValue(200, 0).toString(), "0");
+}
+
 TEST(IntValue, ToHexString) {
   EXPECT_EQ(IntValue(16, 0xbeef).toHexString(), "0xbeef");
   EXPECT_EQ(IntValue(12, 0xbe).toHexString(), "0x0be");
