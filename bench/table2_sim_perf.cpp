@@ -203,9 +203,34 @@ void writeJson(const std::string &Path, double Scale,
   printf("wrote %s\n", Path.c_str());
 }
 
+const char *Usage = R"(usage: table2_sim_perf [options]
+
+  --scale=<x>      cycle counts as a fraction of the paper's
+                   (default 0.001)
+  --reps=<n>       simulate every design n times per engine and
+                   keep the fastest run (default 1)
+  --no-verify      skip the cross-engine trace check
+  --no-jit         run Blaze without native code (ablation)
+  --batch[=<n>]    also time n-instance fleets (n defaults to 8)
+  --vcd-dir=<dir>  dump and cross-check waveforms; the timings
+                   then include tracing
+  --json=<file>    write the results as JSON; nothing is written
+                   without it
+  --gate=<file>    fail (exit 2) if the geomeans regress against
+                   a committed BENCH_sim.json
+  --gate-tol=<x>   the gate's tolerance (default 0.05)
+  --help           print this and exit
+)";
+
 } // namespace
 
 int main(int argc, char **argv) {
+  int Exit = checkArgs(argc, argv, Usage,
+                       {"scale=#", "reps=#", "no-verify", "no-jit", "json=",
+                        "batch", "batch=#", "vcd-dir=", "gate=",
+                        "gate-tol=#"});
+  if (Exit >= 0)
+    return Exit;
   double Scale = argFloat(argc, argv, "scale", 0.001);
   unsigned Reps =
       std::max(1u, (unsigned)argFloat(argc, argv, "reps", 1));
@@ -213,7 +238,7 @@ int main(int argc, char **argv) {
   // --no-jit: ablation switch, runs Blaze through the LIR interpreter
   // instead of native code (the pre-JIT configuration).
   bool NoJit = argFlag(argc, argv, "no-jit");
-  std::string JsonPath = argStr(argc, argv, "json", "BENCH_sim.json");
+  std::string JsonPath = argStr(argc, argv, "json", "");
   // --batch[=N]: also measure fleet throughput — N instances per design
   // over one shared program, sequential loop vs worker pool.
   unsigned BatchN = (unsigned)argFloat(argc, argv, "batch",

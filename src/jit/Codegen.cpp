@@ -1,12 +1,12 @@
 //===- jit/Codegen.cpp - LIR to C++ translation ---------------------------===//
 //
-// Planning decides, per process, whether every op fits the two-state
-// width <= 64 lane model; emission then prints one C++ function per
-// surviving process. The numeric semantics of the emitted expressions
-// mirror RtOps.cpp's evalIntFast / IntValue.cpp bit for bit (masking
-// discipline, shift clamping, division-by-zero values, signed
-// magnitude division); any divergence shows up as a trace-digest
-// mismatch in the cross-engine tests.
+// Planning decides, per process and per function it calls, whether
+// every op fits the two-state width <= 64 lane model; emission then
+// prints one C++ function per surviving unit. The numeric semantics of
+// the emitted expressions mirror RtOps.cpp's evalIntFast / IntValue.cpp
+// bit for bit (masking discipline, shift clamping, division-by-zero
+// values, signed magnitude division); any divergence shows up as a
+// trace-digest mismatch in the cross-engine tests.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,9 +15,12 @@
 #include "ir/Type.h"
 #include "ir/Unit.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <optional>
 #include <set>
 
 using namespace llhd;
@@ -25,14 +28,24 @@ using namespace llhd::jit;
 
 namespace {
 
-/// printf-append into a std::string.
+/// printf-append into a std::string, of any length: a function symbol
+/// spells out its unit's name, which may be long.
 void f(std::string &S, const char *Fmt, ...) {
   char Buf[512];
   va_list Ap;
   va_start(Ap, Fmt);
-  vsnprintf(Buf, sizeof(Buf), Fmt, Ap);
+  int N = vsnprintf(Buf, sizeof(Buf), Fmt, Ap);
   va_end(Ap);
-  S += Buf;
+  if (N < (int)sizeof(Buf)) {
+    S += Buf;
+    return;
+  }
+  size_t Old = S.size();
+  S.resize(Old + N + 1);
+  va_start(Ap, Fmt);
+  vsnprintf(&S[Old], N + 1, Fmt, Ap);
+  va_end(Ap);
+  S.resize(Old + N);
 }
 
 /// The storage classes the lane model distinguishes.
@@ -99,9 +112,50 @@ std::vector<Type *> slotTypes(const LirUnit &L) {
   return T;
 }
 
+/// The intrinsic an admitted intrinsic call runs, if any.
+std::optional<Intrinsic> intrinsicOf(const LirOp &Op) {
+  const std::string &N = Op.Callee->name();
+  if (N == "llhd.assert" && Op.OpsCount == 1)
+    return Intrinsic::Assert;
+  if (N == "llhd.finish" && Op.OpsCount == 0)
+    return Intrinsic::Finish;
+  return std::nullopt;
+}
+
+/// A call of a function with a body (not an intrinsic or declaration).
+bool callsRealFunction(const LirOp &Op) {
+  return Op.C == LirOpc::Call && Op.Callee && !Op.Callee->isIntrinsic() &&
+         !Op.Callee->isDeclaration();
+}
+
+std::string opName(const LirOp &Op) {
+  return Op.C == LirOpc::Pure ? opcodeName(Op.IrOp) : lirOpcName(Op.C);
+}
+
+/// The reason a call's callee keeps its caller interpreted.
+std::string calleeReason(const Unit *F, const std::string &Why) {
+  return "call to function '@" + F->name() + "': " + Why;
+}
+
+/// A function's C symbol, injective over unit names: alphanumerics
+/// stay, every other byte becomes _XX.
+std::string functionSymbol(const std::string &Name) {
+  std::string S = "llhd_jit_f_";
+  for (unsigned char C : Name)
+    if (isalnum(C))
+      S += (char)C;
+    else
+      f(S, "_%02x", C);
+  return S;
+}
+
 struct Planner {
   const LirUnit &L;
   UnitPlan &P;
+  /// Planning a process: the table its callees must plan native in.
+  /// Null while planning a function, whose callees FunctionPlans
+  /// settles in its fixpoint.
+  FunctionPlans *Fns;
   std::vector<uint8_t> Written;      ///< Slot is some op's Dst.
   std::vector<int32_t> VarIdxOfSlot; ///< Pointer slot -> var index.
   std::vector<uint32_t> VarLanes;    ///< Var index -> lane count.
@@ -176,7 +230,9 @@ struct Planner {
   }
 
   bool planPure(const LirOp &Op);
+  bool planCall(const LirOp &Op);
   bool planOp(uint32_t Pc, const LirOp &Op);
+  bool planSignature();
   bool run();
 };
 
@@ -276,13 +332,46 @@ bool Planner::planPure(const LirOp &Op) {
   }
 }
 
+/// A call of a real function: its arguments and result cross as single
+/// lanes, and the callee itself must plan native.
+bool Planner::planCall(const LirOp &Op) {
+  Unit *G = Op.Callee;
+  if (Fns) {
+    const UnitPlan &GP = Fns->get(G);
+    if (!GP.Native)
+      return deopt(calleeReason(G, GP.DeoptReason));
+  }
+  const int32_t *Ops = L.OperandPool.data() + Op.OpsBase;
+  unsigned W;
+  uint32_t N;
+  for (uint32_t J = 0; J != Op.OpsCount; ++J)
+    if (cls(Ops[J], W, N) != SlotCls::Int || !laneify(Ops[J]))
+      return deopt(calleeReason(G, "argument " + std::to_string(J) +
+                                       " is outside the two-state "
+                                       "<=64-bit model"));
+  if (Op.Dst >= 0 && (cls(Op.Dst, W, N) != SlotCls::Int || !laneify(Op.Dst)))
+    return deopt(calleeReason(G, "the result is outside the two-state "
+                                 "<=64-bit model"));
+  if (std::find(P.Callees.begin(), P.Callees.end(), G) == P.Callees.end())
+    P.Callees.push_back(G);
+  return true;
+}
+
 bool Planner::planOp(uint32_t Pc, const LirOp &Op) {
   const int32_t *Ops = L.OperandPool.data() + Op.OpsBase;
   unsigned W;
   uint32_t N;
+  bool IsFn = !L.U->isProcess();
+  if (IsFn && (Op.C == LirOpc::Prb || Op.C == LirOpc::Drv ||
+               Op.C == LirOpc::Wait || Op.C == LirOpc::Halt))
+    return deopt("not allowed in a function");
   switch (Op.C) {
   case LirOpc::Pure:
     return planPure(Op);
+  case LirOpc::Ret:
+    if (!IsFn)
+      return deopt("not allowed in a process");
+    return Op.A < 0 || scalar(Op.A, W);
   case LirOpc::Prb:
     if (!staticSignal(Op.A) || !laneify(Op.Dst))
       return false;
@@ -379,26 +468,40 @@ bool Planner::planOp(uint32_t Pc, const LirOp &Op) {
     return true;
   }
   case LirOpc::Call: {
-    Unit *Callee = Op.Callee;
-    if (!Callee || !Callee->isIntrinsic())
-      return deopt("call to function '@" +
-                   std::string(Callee ? Callee->name() : "?") + "'");
-    if (Callee->name() == "llhd.assert" && Op.OpsCount == 1) {
-      if (!scalar(Ops[0], W))
-        return false;
-      P.Calls.push_back({Pc, CallPlan::Assert});
-      return true;
-    }
-    if (Callee->name() == "llhd.finish" && Op.OpsCount == 0) {
-      P.Calls.push_back({Pc, CallPlan::Finish});
-      return true;
-    }
-    return deopt("unsupported intrinsic '@" + Callee->name() + "'");
+    if (!Op.Callee)
+      return deopt("call without a callee");
+    if (callsRealFunction(Op))
+      return planCall(Op);
+    std::optional<Intrinsic> K = intrinsicOf(Op);
+    if (!K && !Op.Callee->isIntrinsic())
+      return deopt(calleeReason(Op.Callee, "declared without a body"));
+    if (!K)
+      return deopt("unsupported intrinsic '@" + Op.Callee->name() + "'");
+    return *K != Intrinsic::Assert || scalar(Ops[0], W);
   }
   default:
-    return deopt(std::string("op '") + lirOpcName(Op.C) +
-                 "' in a process");
+    return deopt("unsupported op");
   }
+}
+
+/// A function's arguments and result must each fit one lane.
+bool Planner::planSignature() {
+  Unit *U = L.U;
+  unsigned W;
+  uint32_t N;
+  for (unsigned I = 0; I != U->inputs().size(); ++I) {
+    Argument *A = U->input(I);
+    if (classify(A->type(), W, N) != SlotCls::Int)
+      return deopt("argument " + std::to_string(I) + " is " +
+                   A->type()->toString() +
+                   ", outside the two-state <=64-bit model");
+    laneify(A->valueNumber());
+  }
+  Type *R = U->returnType();
+  if (R && !R->isVoid() && classify(R, W, N) != SlotCls::Int)
+    return deopt("the result is " + R->toString() +
+                 ", outside the two-state <=64-bit model");
+  return true;
 }
 
 bool Planner::run() {
@@ -414,9 +517,14 @@ bool Planner::run() {
   P.CellLane.assign(NumVars, -1);
   VarLanes.assign(NumVars, 0);
 
+  if (!L.U->isProcess() && !planSignature())
+    return false;
   for (uint32_t Pc = 0; Pc != L.Ops.size(); ++Pc)
-    if (!planOp(Pc, L.Ops[Pc]))
+    if (!planOp(Pc, L.Ops[Pc])) {
+      P.DeoptReason = "op '" + opName(L.Ops[Pc]) + "' at pc " +
+                      std::to_string(Pc) + ": " + P.DeoptReason;
       return false;
+    }
 
   for (const auto &[Slot, V] : L.ConstSlots)
     if (Slot < L.NumSlots && P.LaneOf[Slot] >= 0 && V.isInt())
@@ -425,23 +533,94 @@ bool Planner::run() {
   return true;
 }
 
-} // namespace
-
-UnitPlan jit::planUnit(const LirUnit &L) {
+/// Plans one process (\p Fns non-null) or function unit.
+UnitPlan plan(const LirUnit &L, FunctionPlans *Fns) {
   UnitPlan P;
   P.L = &L;
-  if (!L.U->isProcess()) {
-    P.DeoptReason = "not a process";
-    return P;
-  }
   P.SlotType = slotTypes(L);
   P.LaneOf.assign(L.NumSlots, -1);
   P.LanesOf.assign(L.NumSlots, 0);
-  Planner Pl{L, P, {}, {}, {}};
+  Planner Pl{L, P, Fns, {}, {}, {}};
   P.Native = Pl.run();
   if (!P.Native && P.DeoptReason.empty())
     P.DeoptReason = "unsupported shape";
   return P;
+}
+
+} // namespace
+
+UnitPlan jit::planUnit(const LirUnit &L, std::shared_ptr<FunctionPlans> Fns) {
+  if (!L.U->isProcess()) {
+    UnitPlan P;
+    P.L = &L;
+    P.DeoptReason = "not a process";
+    return P;
+  }
+  if (!Fns)
+    Fns = std::make_shared<FunctionPlans>();
+  UnitPlan P = plan(L, Fns.get());
+  if (!P.Callees.empty())
+    P.Fns = std::move(Fns);
+  return P;
+}
+
+const LirUnit &FunctionPlans::lowering(Unit *F) {
+  if (Cache)
+    if (const LirUnit *L = Cache->lookup(F))
+      return *L;
+  auto It = Lowered.find(F);
+  if (It == Lowered.end())
+    It = Lowered.emplace(F, lowerUnit(*F)).first;
+  return It->second;
+}
+
+const UnitPlan *FunctionPlans::find(const Unit *F) const {
+  auto It = ByUnit.find(F);
+  return It == ByUnit.end() ? nullptr : It->second;
+}
+
+const UnitPlan &FunctionPlans::get(Unit *F) {
+  if (const UnitPlan *Known = find(F))
+    return *Known;
+  // Plan F and every function it reaches on their own ops...
+  size_t First = Plans.size();
+  std::vector<Unit *> Work{F};
+  while (!Work.empty()) {
+    Unit *G = Work.back();
+    Work.pop_back();
+    if (ByUnit.count(G))
+      continue;
+    const LirUnit &L = lowering(G);
+    auto P = std::make_unique<UnitPlan>(plan(L, nullptr));
+    P->Symbol = functionSymbol(G->name());
+    Work.insert(Work.end(), P->Callees.rbegin(), P->Callees.rend());
+    ByUnit[G] = P.get();
+    Plans.push_back(std::move(P));
+  }
+  // ...then demote every function that calls a non-native one, to a
+  // fixpoint. Earlier plans are final and call no new function.
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (size_t I = First; I != Plans.size(); ++I) {
+      UnitPlan &P = *Plans[I];
+      if (!P.Native)
+        continue;
+      for (Unit *G : P.Callees) {
+        const UnitPlan &GP = *ByUnit[G];
+        if (GP.Native)
+          continue;
+        uint32_t Pc = 0;
+        while (P.L->Ops[Pc].C != LirOpc::Call || P.L->Ops[Pc].Callee != G)
+          ++Pc;
+        P.Native = false;
+        P.DeoptReason = "op 'call' at pc " + std::to_string(Pc) + ": " +
+                        calleeReason(G, GP.DeoptReason);
+        Changed = true;
+        break;
+      }
+    }
+  }
+  return *ByUnit[F];
 }
 
 //===----------------------------------------------------------------------===//
@@ -460,9 +639,10 @@ typedef struct LlhdJitApi {
   void (*prb_arr)(void *ctx, unsigned site, u64 *dst, unsigned n);
   void (*drv)(void *ctx, unsigned site, u64 val);
   void (*drv_arr)(void *ctx, unsigned site, const u64 *val, unsigned n);
-  void (*call)(void *ctx, unsigned site, const u64 *args, unsigned n);
+  void (*call)(void *ctx, unsigned kind, const u64 *args, unsigned n);
 } LlhdJitApi;
-extern "C" { int llhd_jit_abi_version = 1; }
+extern "C" { int llhd_jit_abi_version = )" +
+         std::to_string(AbiVersion) + R"(; }
 
 // Semantics below mirror sim/RtOps.cpp's evalIntFast bit for bit.
 static inline u64 jm(u64 v, unsigned w) {
@@ -533,15 +713,19 @@ namespace {
 /// Per-function emission state: the plan plus site counters advancing
 /// in pc order (sites were recorded in pc order by the planner).
 struct Emitter {
-  UnitPlan &P;
+  const UnitPlan &P;
   const LirUnit &L;
   std::string S;
+  /// What a unit returns when its fuel runs out: a process reports -2
+  /// (hung); a function returns 0 where LirEngine::callFunction gives
+  /// up and returns an empty value.
+  const char *OutOfFuel;
   std::vector<int32_t> VarIdx; ///< Pointer slot -> var index.
   /// Slot -> the C++ expression reading it: `s[k]`, or a `0x…ull`
   /// literal for a constant no op writes, so the host compiler folds it.
   /// Its lane is still preloaded (ConstLanes) for checkpoint/deopt sync.
   std::vector<std::string> Read;
-  size_t PrbI = 0, DrvI = 0, CallI = 0, WaitI = 0;
+  size_t PrbI = 0, DrvI = 0, WaitI = 0;
 
   void index() {
     VarIdx.assign(L.NumSlots, -1);
@@ -605,11 +789,21 @@ struct Emitter {
 
   /// Backward jumps carry the runaway-fuel check the interpreter's
   /// per-op fuel counter provides.
-  void jumpTo(int32_t Target, uint32_t Pc) {
+  void jumpTo(int32_t Target, uint32_t Pc, const char *Ind = "  ") {
     if (Target <= (int32_t)Pc)
-      f(S, "  if (!--fuel) return -2;\n");
-    f(S, "  goto L%d;\n", Target);
+      f(S, "%sif (!--fuel) return %s;\n", Ind, OutOfFuel);
+    f(S, "%sgoto L%d;\n", Ind, Target);
   }
+
+  /// The call of a static function: `SYM(api, ctx, lanes...)`.
+  void callExpr(const LirOp &Op) {
+    f(S, "%s(api, ctx", functionSymbol(Op.Callee->name()).c_str());
+    for (uint32_t J = 0; J != Op.OpsCount; ++J)
+      f(S, ", %s", sl(L.OperandPool[Op.OpsBase + J]).c_str());
+    S += ")";
+  }
+
+  void emitBody();
 
   void emitPure(const LirOp &Op);
   void emitOp(uint32_t Pc, const LirOp &Op);
@@ -813,12 +1007,12 @@ void Emitter::emitOp(uint32_t Pc, const LirOp &Op) {
     break;
   case LirOpc::CondJmp:
     f(S, "  if (%s) {\n", sl(Op.A).c_str());
-    if (Op.Jmp1 <= (int32_t)Pc)
-      S += "    if (!--fuel) return -2;\n";
-    f(S, "    goto L%d;\n  }\n", Op.Jmp1);
-    if (Op.Jmp0 <= (int32_t)Pc)
-      S += "  if (!--fuel) return -2;\n";
-    f(S, "  goto L%d;\n", Op.Jmp0);
+    jumpTo(Op.Jmp1, Pc, "    ");
+    S += "  }\n";
+    jumpTo(Op.Jmp0, Pc);
+    break;
+  case LirOpc::Ret:
+    f(S, "  return %s;\n", Op.A >= 0 ? sl(Op.A).c_str() : "0");
     break;
   case LirOpc::Copy:
     copySlot(la(Op.Dst), Op.A);
@@ -835,19 +1029,77 @@ void Emitter::emitOp(uint32_t Pc, const LirOp &Op) {
     copySlot(P.CellLane[VarIdx[Op.A]], Op.B);
     break;
   case LirOpc::Call: {
-    const CallPlan &C = P.Calls[CallI];
-    assert(C.Pc == Pc);
-    if (C.K == CallPlan::Assert)
-      f(S, "  api->call(ctx, %zuu, s + %d, 1);\n", CallI,
-        la(L.OperandPool[Op.OpsBase]));
-    else
-      f(S, "  api->call(ctx, %zuu, 0, 0);\n", CallI);
-    ++CallI;
+    if (callsRealFunction(Op)) {
+      S += "  ";
+      if (Op.Dst >= 0)
+        f(S, "%s = ", sl(Op.Dst).c_str());
+      callExpr(Op);
+      S += ";\n";
+      break;
+    }
+    Intrinsic K = *intrinsicOf(Op);
+    if (K == Intrinsic::Assert) {
+      // Through a local, so a function's lane array never escapes.
+      f(S, "  { u64 a = %s; api->call(ctx, %uu, &a, 1); }\n",
+        sl(L.OperandPool[Op.OpsBase]).c_str(), (unsigned)K);
+    } else {
+      f(S, "  api->call(ctx, %uu, 0, 0);\n", (unsigned)K);
+    }
     break;
   }
   default:
     break; // Unreachable: planning rejected everything else.
   }
+}
+
+/// Labels every jump target and resume point, then emits the ops.
+void Emitter::emitBody() {
+  std::set<int32_t> Labels;
+  for (const LirOp &Op : L.Ops) {
+    if (Op.C == LirOpc::Jmp || Op.C == LirOpc::Wait)
+      Labels.insert(Op.Jmp0);
+    if (Op.C == LirOpc::CondJmp) {
+      Labels.insert(Op.Jmp0);
+      Labels.insert(Op.Jmp1);
+    }
+  }
+  index();
+  for (uint32_t Pc = 0; Pc != L.Ops.size(); ++Pc) {
+    if (Labels.count((int32_t)Pc))
+      f(S, "L%d:;\n", Pc);
+    emitOp(Pc, L.Ops[Pc]);
+  }
+}
+
+/// `static u64 SYM(const LlhdJitApi *api, void *ctx, u64 a0, ...)`.
+std::string functionHead(const UnitPlan &P) {
+  std::string S = "static u64 " + P.Symbol + "(const LlhdJitApi *api, "
+                  "void *ctx";
+  for (unsigned I = 0; I != P.L->U->inputs().size(); ++I)
+    f(S, ", u64 a%u", I);
+  return S + ")";
+}
+
+/// A function's frame is a local lane array: arguments and constants
+/// are stored into it on entry, and its own fuel guards its loops.
+std::string emitFunction(const UnitPlan &P) {
+  const LirUnit &L = *P.L;
+  std::string S;
+  f(S, "\n// @%s: %u lir ops, %u lanes\n", L.U->name().c_str(),
+    (unsigned)L.Ops.size(), P.NumLanes);
+  f(S, "#ifndef LLHD_DEF_%s\n#define LLHD_DEF_%s\n", P.Symbol.c_str(),
+    P.Symbol.c_str());
+  S += functionHead(P) + " {\n";
+  f(S, "  u64 s[%u];\n", std::max(P.NumLanes, 1u));
+  for (unsigned I = 0; I != L.U->inputs().size(); ++I)
+    f(S, "  s[%d] = a%u;\n", P.LaneOf[L.U->input(I)->valueNumber()], I);
+  for (const auto &[Lane, Val] : P.ConstLanes)
+    f(S, "  s[%u] = 0x%llxull;\n", Lane, (unsigned long long)Val);
+  S += "  u64 fuel = 100000000ull;\n";
+  Emitter E{P, L, std::move(S), "0", {}, {}};
+  E.emitBody();
+  E.S += "  return 0;\n}\n#endif\n";
+  return std::move(E.S);
 }
 
 } // namespace
@@ -856,7 +1108,27 @@ std::string jit::emitUnit(UnitPlan &P, unsigned Index) {
   const LirUnit &L = *P.L;
   P.Symbol = "llhd_jit_u" + std::to_string(Index);
 
+  // The static functions this process reaches, in depth-first order;
+  // prototypes first, so recursion needs no particular order.
+  std::vector<const UnitPlan *> Fns;
+  std::vector<Unit *> Work(P.Callees.rbegin(), P.Callees.rend());
+  while (!Work.empty()) {
+    const UnitPlan *F = P.Fns->find(Work.back());
+    Work.pop_back();
+    assert(F && F->Native && "emitting a process with a non-native callee");
+    if (std::find(Fns.begin(), Fns.end(), F) != Fns.end())
+      continue;
+    Fns.push_back(F);
+    Work.insert(Work.end(), F->Callees.rbegin(), F->Callees.rend());
+  }
   std::string S;
+  if (!Fns.empty())
+    S += "\n";
+  for (const UnitPlan *F : Fns)
+    S += functionHead(*F) + ";\n";
+  for (const UnitPlan *F : Fns)
+    S += emitFunction(*F);
+
   f(S, "\n// @%s (%s): %u lir ops, %u lanes, %zu waits\n",
     L.U->name().c_str(), procClassName(L.Class), (unsigned)L.Ops.size(),
     P.NumLanes, P.Waits.size());
@@ -876,24 +1148,8 @@ std::string jit::emitUnit(UnitPlan &P, unsigned Index) {
     S += "  default: break;\n  }\n";
   }
 
-  // Label every jump target and resume point.
-  std::set<int32_t> Labels;
-  for (const LirOp &Op : L.Ops) {
-    if (Op.C == LirOpc::Jmp || Op.C == LirOpc::Wait)
-      Labels.insert(Op.Jmp0);
-    if (Op.C == LirOpc::CondJmp) {
-      Labels.insert(Op.Jmp0);
-      Labels.insert(Op.Jmp1);
-    }
-  }
-
-  Emitter E{P, L, std::move(S), {}, {}};
-  E.index();
-  for (uint32_t Pc = 0; Pc != L.Ops.size(); ++Pc) {
-    if (Labels.count((int32_t)Pc))
-      f(E.S, "L%d:;\n", Pc);
-    E.emitOp(Pc, L.Ops[Pc]);
-  }
+  Emitter E{P, L, std::move(S), "-2", {}, {}};
+  E.emitBody();
   E.S += "  return -1;\n}\n";
   return std::move(E.S);
 }

@@ -10,14 +10,19 @@
 // table in jit/Runtime.h, so the generated translation unit needs no
 // headers and no symbols from the engine.
 //
+// Real functions a process calls are planned on the same lane model
+// (FunctionPlans, once per translation unit) and emitted as static C
+// functions taking and returning lanes by value; their frames are local
+// lane arrays on the C stack, so calls and recursion allocate nothing.
+//
 // Planning is conservative: any op the emitter cannot prove two-state
 // width <= 64 (wide ints, logic, structs, nested arrays, dynamic drive
-// delays, real function calls, signal-producing computation, pointer
-// escapes) rejects that process with a recorded reason, and the engine
-// keeps interpreting it. Correctness never depends on planning
-// succeeding; the emitted semantics are bit-identical to
-// RtOps.cpp/IntValue.cpp by construction and are cross-checked by the
-// designs-suite digest sweep in tests/jit.
+// delays, callees outside the lane model, signal-producing computation,
+// pointer escapes) rejects that process with a recorded reason naming
+// the op, and the engine keeps interpreting it. Correctness never
+// depends on planning succeeding; the emitted semantics are
+// bit-identical to RtOps.cpp/IntValue.cpp by construction and are
+// cross-checked by the designs-suite digest sweep in tests/jit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,18 +31,21 @@
 
 #include "sim/Lir.h"
 
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace llhd {
 
 class Type;
+class Unit;
 
 namespace jit {
 
 /// The ABI version the engine expects; embedded in every generated
 /// translation unit and checked after dlopen.
-constexpr int AbiVersion = 1;
+constexpr int AbiVersion = 2;
 
 /// One probe site: the generated code calls back with this index, the
 /// engine reads the signal referenced by frame slot \p SigSlot.
@@ -58,12 +66,11 @@ struct DrvPlan {
   const Instruction *Origin;
 };
 
-/// One intrinsic call site.
-struct CallPlan {
-  enum Kind : uint8_t { Assert, Finish };
-  uint32_t Pc;
-  Kind K;
-};
+/// The intrinsics native code runs: the `kind` argument of
+/// LlhdJitApi::call. Passing the kind rather than a per-process site
+/// index lets a callee shared by many processes call back with any
+/// caller's context.
+enum class Intrinsic : unsigned { Assert, Finish };
 
 /// One wait site. The generated function returns the site's index when
 /// suspending there; the engine registers sensitivity/timeout from this
@@ -75,9 +82,11 @@ struct WaitPlan {
   int32_t ResumeEntry = 0;       ///< Entry value: wait index + 1.
 };
 
-/// The translation plan of one process unit: either a full lane layout
-/// plus the side-effect site tables, or the reason translation was
-/// declined.
+class FunctionPlans;
+
+/// The translation plan of one process or function unit: either a full
+/// lane layout plus the side-effect site tables, or the reason
+/// translation was declined.
 struct UnitPlan {
   const LirUnit *L = nullptr;
   bool Native = false;
@@ -93,20 +102,55 @@ struct UnitPlan {
 
   std::vector<PrbPlan> Prbs;
   std::vector<DrvPlan> Drvs;
-  std::vector<CallPlan> Calls;
   std::vector<WaitPlan> Waits;
+
+  /// Real functions the unit calls, in first-call order; their plans
+  /// live in Fns (set on process plans only).
+  std::vector<Unit *> Callees;
+  std::shared_ptr<FunctionPlans> Fns;
 
   /// Recovered static slot types (IR Type per slot, null when unknown).
   std::vector<Type *> SlotType;
 
-  /// Function symbol in the generated TU; set by emitUnit.
+  /// Function symbol in the generated TU: set by emitUnit for a
+  /// process, by FunctionPlans for a function.
   std::string Symbol;
 };
 
-/// Decides whether \p L can run natively and computes the lane layout
-/// and site tables. Never fails hard: an unsupported shape returns a
-/// plan with Native == false and a DeoptReason.
-UnitPlan planUnit(const LirUnit &L);
+/// The plans of the real functions native processes call, memoised over
+/// one translation unit. A function is native when its own ops fit the
+/// lane model (arguments and result included) and every function it
+/// calls is native — a greatest fixpoint, so recursion plans like any
+/// other call.
+class FunctionPlans {
+public:
+  /// \p Cache supplies the callees' lowerings; without one (a plan made
+  /// outside a program build) the table lowers them itself.
+  explicit FunctionPlans(const LirCache *Cache = nullptr) : Cache(Cache) {}
+
+  /// The plan of \p F, planning it and everything it reaches on first
+  /// use.
+  const UnitPlan &get(Unit *F);
+
+  /// The plan of \p F if get() has seen it, else null.
+  const UnitPlan *find(const Unit *F) const;
+
+private:
+  const LirUnit &lowering(Unit *F);
+
+  const LirCache *Cache;
+  std::vector<std::unique_ptr<UnitPlan>> Plans; ///< Discovery order.
+  std::map<const Unit *, UnitPlan *> ByUnit;
+  std::map<const Unit *, LirUnit> Lowered; ///< Used without a Cache.
+};
+
+/// Decides whether the process \p L can run natively and computes the
+/// lane layout and site tables. Callees are planned in \p Fns, or in a
+/// table of the plan's own when none is given. Never fails hard: an
+/// unsupported shape returns a plan with Native == false and a
+/// DeoptReason naming the op.
+UnitPlan planUnit(const LirUnit &L,
+                  std::shared_ptr<FunctionPlans> Fns = nullptr);
 
 /// The translation unit's shared prologue: the uint64_t helpers
 /// (masking, shifts, division — bit-identical to RtOps.cpp's fast
@@ -114,8 +158,11 @@ UnitPlan planUnit(const LirUnit &L);
 /// version symbol.
 std::string emitPrelude();
 
-/// Emits the function for one planned unit (Native must be true) and
-/// records its symbol (derived from \p Index) in the plan.
+/// Emits the function for one planned process (Native must be true),
+/// preceded by the static functions it calls, and records its symbol
+/// (derived from \p Index) in the plan. Each callee definition sits in
+/// a preprocessor guard named after the function, so units sharing a
+/// callee concatenate into one translation unit that defines it once.
 std::string emitUnit(UnitPlan &P, unsigned Index);
 
 } // namespace jit

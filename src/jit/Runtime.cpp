@@ -74,14 +74,13 @@ void apiDrvArr(void *CtxP, unsigned Site, const uint64_t *Val, unsigned N) {
   E.Sched.countScheduled(1);
 }
 
-void apiCall(void *CtxP, unsigned Site, const uint64_t *Args, unsigned N) {
+void apiCall(void *CtxP, unsigned Kind, const uint64_t *Args, unsigned N) {
   auto &C = *static_cast<ProcContext *>(CtxP);
-  const CallSite &S = C.Calls[Site];
-  switch (S.K) {
-  case CallPlan::Assert:
+  switch (static_cast<Intrinsic>(Kind)) {
+  case Intrinsic::Assert:
     C.Eng->intrinsicAssert(N != 0 && Args[0] != 0);
     break;
-  case CallPlan::Finish:
+  case Intrinsic::Finish:
     C.Eng->intrinsicFinish();
     break;
   }
@@ -122,6 +121,8 @@ void JitModule::compile(const Design &D, const LirCache &Cache) {
       ProcUnits.push_back(L);
   }
 
+  // One table plans every called function once for the whole TU.
+  auto Fns = std::make_shared<FunctionPlans>(&Cache);
   std::string Src = emitPrelude();
   std::vector<const LirUnit *> Native;
   for (const LirUnit *L : ProcUnits) {
@@ -132,7 +133,7 @@ void JitModule::compile(const Design &D, const LirCache &Cache) {
       St.Deopts.push_back({L->U->name(), "forced deopt (testing knob)"});
       continue;
     }
-    UnitPlan P = planUnit(*L);
+    UnitPlan P = planUnit(*L, Fns);
     if (!P.Native) {
       ++St.DeoptUnits;
       St.Deopts.push_back({L->U->name(), P.DeoptReason});
@@ -232,9 +233,6 @@ bool JitModule::bindProcess(LirEngine &Eng, uint32_t ProcIndex,
           std::vector<RtValue>(Dp.NumElems, RtValue(IntValue(Dp.Width, 0))));
     Ctx.Drvs.push_back(std::move(Site));
   }
-
-  for (const CallPlan &Cp : P.Calls)
-    Ctx.Calls.push_back({Cp.K});
 
   for (const WaitPlan &Wp : P.Waits) {
     WaitSite Site;

@@ -10,13 +10,15 @@
 // or -2 on fuel exhaustion. `ctx` is the ProcContext bound to one
 // process instance: it carries the resolved side-effect sites (signal
 // references, drive delays and driver identities, canonical wait
-// sensitivities, intrinsic kinds) so the generated code itself stays
-// free of engine types and pointers.
+// sensitivities) so the generated code itself stays free of engine
+// types and pointers. The static functions a process calls take the
+// same `api` and `ctx`, for the intrinsics inside them.
 //
 // JitModule orchestrates the whole pipeline for one engine build: plan
-// every distinct process unit, emit one translation unit, compile it
-// via jit/HostCompiler.h, resolve the symbols, and bind per-instance
-// contexts. Any failure leaves the engine interpreting, never broken.
+// every distinct process unit and the functions it calls, emit one
+// translation unit, compile it via jit/HostCompiler.h, resolve the
+// symbols, and bind per-instance contexts. Any failure leaves the
+// engine interpreting, never broken.
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +48,9 @@ struct LlhdJitApi {
   void (*prb_arr)(void *Ctx, unsigned Site, uint64_t *Dst, unsigned N);
   void (*drv)(void *Ctx, unsigned Site, uint64_t Val);
   void (*drv_arr)(void *Ctx, unsigned Site, const uint64_t *Val, unsigned N);
-  void (*call)(void *Ctx, unsigned Site, const uint64_t *Args, unsigned N);
+  /// \p Kind is an Intrinsic; the call may come from a static callee
+  /// running on behalf of the process \p Ctx is bound to.
+  void (*call)(void *Ctx, unsigned Kind, const uint64_t *Args, unsigned N);
 };
 
 /// Signature of a generated process function. The generated side
@@ -77,11 +81,6 @@ struct DrvSite {
   RtValue Scratch; ///< Array drives: reused element buffer.
 };
 
-/// One intrinsic call site.
-struct CallSite {
-  CallPlan::Kind K = CallPlan::Assert;
-};
-
 /// One wait site, resolved per instance.
 struct WaitSite {
   std::vector<SignalId> Sens; ///< Canonical observed signals.
@@ -98,7 +97,6 @@ struct ProcContext {
   std::vector<uint64_t> Lanes;
   std::vector<PrbSite> Prbs;
   std::vector<DrvSite> Drvs;
-  std::vector<CallSite> Calls;
   std::vector<WaitSite> Waits;
 };
 
@@ -109,11 +107,13 @@ class JitModule {
 public:
   explicit JitModule(JitOptions O) : Opts(O) {}
 
-  /// Plans every distinct process unit of \p D, emits and compiles the
-  /// translation unit, and resolves the symbols. \p Cache must already
-  /// hold every instantiated unit's lowering (LirProgram::build). On any
-  /// failure the module simply ends up with no native units (and a
-  /// warning in the stats); the engines keep interpreting.
+  /// Plans every distinct process unit of \p D (and, once, every
+  /// function they call), emits and compiles the translation unit, and
+  /// resolves the symbols. \p Cache must already hold the lowering of
+  /// every instantiated unit and reachable function
+  /// (LirProgram::build). On any failure the module simply ends up with
+  /// no native units (and a warning in the stats); the engines keep
+  /// interpreting.
   void compile(const Design &D, const LirCache &Cache);
 
   struct NativeUnit {

@@ -3,9 +3,10 @@
 // The Blaze JIT (src/jit/): native code must be byte-for-byte
 // trace-equivalent with the reference interpreter across the whole
 // designs suite, at integer width boundaries through the generated
-// code, and in mixed native/deopt designs. The fallback paths — no
-// host compiler, failing compiler, unwritable temp dir — must degrade
-// to the interpreter without breaking a single simulation.
+// code, through native function calls, and in mixed native/deopt
+// designs. The fallback paths — no host compiler, failing compiler,
+// unwritable temp dir — must degrade to the interpreter without
+// breaking a single simulation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -51,18 +52,50 @@ struct JitTest : public ::testing::Test {
     return Ref.trace().digest();
   }
 
-  /// Runs \p Src on Blaze with \p Mode and returns the simulator for
-  /// digest/stats inspection.
+  /// Runs \p Src on Blaze with \p Mode (and the \p ForceDeopt knob)
+  /// and returns the simulator for digest/stats inspection; the run's
+  /// stats land in \p Stats when given.
   std::unique_ptr<BlazeSim> runBlaze(const std::string &Src,
                                      const char *Top,
-                                     jit::JitOptions::Mode Mode) {
+                                     jit::JitOptions::Mode Mode,
+                                     const std::string &ForceDeopt = "",
+                                     SimStats *Stats = nullptr) {
     Module *M = parseFresh(Src, std::string(Top) + ".blz");
     BlazeSim::BlazeOptions O;
     O.Jit.M = Mode;
+    O.Jit.ForceDeopt = ForceDeopt;
     auto B = std::make_unique<BlazeSim>(*M, Top, O);
     EXPECT_TRUE(B->valid()) << B->error();
-    B->run();
+    SimStats St = B->run();
+    if (Stats)
+      *Stats = St;
     return B;
+  }
+
+  /// Runs \p Src on Blaze with the JIT on, off and force-deopted: each
+  /// run must reproduce the interpreter's digest and assertion count.
+  /// Returns the JIT-on engine, its run's stats in \p OnStats.
+  std::unique_ptr<BlazeSim> runAgainstOracle(const char *Src,
+                                             const char *Top,
+                                             SimStats &OnStats) {
+    Module *M = parseFresh(Src, std::string(Top) + ".ref");
+    Design D = elaborate(*M, Top);
+    EXPECT_TRUE(D.ok()) << D.Error;
+    InterpSim Ref(std::move(D));
+    SimStats RefSt = Ref.run();
+    SimStats OffSt, DeoptSt;
+    auto On = runBlaze(Src, Top, jit::JitOptions::Mode::On, "", &OnStats);
+    auto Off = runBlaze(Src, Top, jit::JitOptions::Mode::Off, "", &OffSt);
+    auto Forced =
+        runBlaze(Src, Top, jit::JitOptions::Mode::On, "*", &DeoptSt);
+    EXPECT_EQ(Forced->jitStats().NativeUnits, 0u) << Top;
+    for (auto [B, St] : {std::pair{On.get(), OnStats},
+                         std::pair{Off.get(), OffSt},
+                         std::pair{Forced.get(), DeoptSt}}) {
+      EXPECT_EQ(B->trace().digest(), Ref.trace().digest()) << Top;
+      EXPECT_EQ(St.AssertFailures, RefSt.AssertFailures) << Top;
+    }
+    return On;
   }
 };
 
@@ -133,10 +166,11 @@ struct EnvGuard {
 //===----------------------------------------------------------------------===//
 
 // The whole Table 2 suite, Blaze native code vs the reference
-// interpreter, byte-for-byte — and the JIT must actually engage. Every
-// design compiles afresh (no on-disk cache), and the host compiler
-// prints nothing: a warning would land ahead of the real error in a
-// failure's diagnostics.
+// interpreter, byte-for-byte — and every process must run native (the
+// LZC testbench reaches that only through a native function call).
+// Every design compiles afresh (no on-disk cache), and the host
+// compiler prints nothing: a warning would land ahead of the real error
+// in a failure's diagnostics.
 TEST_F(JitTest, SuiteDigestsMatchNative) {
   EnvGuard NoDiskCache("LLHD_JIT_CACHE", "");
   unsigned TotalNative = 0;
@@ -165,6 +199,12 @@ TEST_F(JitTest, SuiteDigestsMatchNative) {
     EXPECT_TRUE(Blaze.jitStats().Warning.empty())
         << D.Key << ": " << Blaze.jitStats().Warning;
     EXPECT_EQ(Blaze.jitStats().CompilerOutput, "") << D.Key;
+    EXPECT_EQ(Blaze.jitStats().DeoptUnits, 0u)
+        << D.Key << ": "
+        << (Blaze.jitStats().Deopts.empty()
+                ? ""
+                : Blaze.jitStats().Deopts[0].first + ": " +
+                      Blaze.jitStats().Deopts[0].second);
     TotalNative += Blaze.jitStats().NativeUnits;
   }
   // The sweep is pointless if nothing actually ran as native code.
@@ -195,19 +235,266 @@ TEST_F(JitTest, WidthBoundaries) {
   }
 }
 
-// The accumulator testbench mixes a native-eligible datapath with a
-// process that calls a real function (forced deopt): native and
-// interpreted instances must coexist and still match the oracle.
+// The accumulator testbench with its stimulus process forced back to
+// the interpreter: native and interpreted instances must coexist and
+// still match the oracle.
 TEST_F(JitTest, MixedNativeAndInterpretedMatchesOracle) {
   std::string Src = llhd_test::accTestbench("50");
   uint64_t Ref = interpDigest(Src, "acc_tb");
-  auto B = runBlaze(Src, "acc_tb", jit::JitOptions::Mode::On);
+  auto B = runBlaze(Src, "acc_tb", jit::JitOptions::Mode::On,
+                    "acc_tb_initial");
   EXPECT_EQ(Ref, B->trace().digest());
   const jit::JitStats &St = B->jitStats();
   EXPECT_GE(St.NativeUnits, 1u);
   EXPECT_GE(St.DeoptUnits, 1u);
   EXPECT_GE(St.NativeProcs, 1u);
   EXPECT_GE(St.InterpProcs, 1u);
+}
+
+// Real function calls through native code. The stimulus process calls,
+// from inside its loop: a callee with a loop over `var` cells, a
+// callee nesting two further calls, a recursive callee, callees taking
+// and returning i1/i63/i64 lanes, and a void callee whose llhd.assert
+// fails on some iterations; that callee's long dotted name spells a C
+// symbol longer than any fixed format buffer. A combinational process
+// shares @popcnt with it, so one callee serves two processes in one
+// translation unit.
+const char *CallsDesign = R"(
+entity @ctop () -> () {
+  %z32 = const i32 0
+  %z1 = const i1 0
+  %z63 = const i63 0
+  %z64 = const i64 0
+  %pa = sig i32 %z32
+  %pb = sig i32 %z32
+  %pc = sig i1 %z1
+  %pd = sig i63 %z63
+  %pe = sig i64 %z64
+  %pq = sig i32 %z32
+  inst @cdrv () -> (i32$ %pa, i32$ %pb, i1$ %pc, i63$ %pd, i64$ %pe)
+  inst @ccomb (i32$ %pb) -> (i32$ %pq)
+}
+proc @cdrv () -> (i32$ %pa, i32$ %pb, i1$ %pc, i63$ %pd, i64$ %pe) {
+entry:
+  %c0 = const i32 0
+  %c1 = const i32 1
+  %lim = const i32 12
+  %golden = const i32 2654435761
+  %t1 = const time 1ns
+  %k = var i32 %c0
+  br %loop
+loop:
+  %kv = ld i32* %k
+  %seed = mul i32 %kv, %golden
+  %p = call i32 @popcnt (i32 %seed)
+  %n = call i32 @nest (i32 %seed)
+  %f = call i32 @fact (i32 %kv)
+  %s = add i32 %n, %f
+  drv i32$ %pa, %p after %t1
+  drv i32$ %pb, %s after %t1
+  %b0 = trunc i1 %seed
+  %b1 = trunc i1 %kv
+  %w1 = call i1 @w1 (i1 %b0, i1 %b1)
+  drv i1$ %pc, %w1 after %t1
+  %s63 = sext i63 %seed
+  %w63 = call i63 @w63 (i63 %s63)
+  drv i63$ %pd, %w63 after %t1
+  %s64 = sext i64 %seed
+  %w64 = call i64 @w64 (i64 %s64, i63 %w63)
+  drv i64$ %pe, %w64 after %t1
+  call void @tb.checks.stage0_of_the_self_checking_testbench.stage1_of_the_self_checking_testbench.stage2_of_the_self_checking_testbench.stage3_of_the_self_checking_testbench.stage4_of_the_self_checking_testbench.stage5_of_the_self_checking_testbench (i32 %p, i32 %kv)
+  %kn = add i32 %kv, %c1
+  st i32* %k, %kn
+  wait %next for %t1
+next:
+  %cont = ult i32 %kn, %lim
+  br %cont, %end, %loop
+end:
+  halt
+}
+proc @ccomb (i32$ %pb) -> (i32$ %pq) {
+entry:
+  %v = prb i32$ %pb
+  %r = call i32 @popcnt (i32 %v)
+  %t0 = const time 0s
+  drv i32$ %pq, %r after %t0
+  wait %entry for %pb
+}
+func @popcnt (i32 %x) i32 {
+entry:
+  %z = const i32 0
+  %one = const i32 1
+  %n = const i32 32
+  %acc = var i32 %z
+  %i = var i32 %z
+  br %loop
+loop:
+  %iv = ld i32* %i
+  %sh = shr i32 %x, i32 %iv
+  %b = and i32 %sh, %one
+  %av = ld i32* %acc
+  %an = add i32 %av, %b
+  st i32* %acc, %an
+  %in = add i32 %iv, %one
+  st i32* %i, %in
+  %c = ult i32 %in, %n
+  br %c, %done, %loop
+done:
+  %r = ld i32* %acc
+  ret i32 %r
+}
+func @nest (i32 %x) i32 {
+entry:
+  %a = call i32 @popcnt (i32 %x)
+  %b = call i32 @mix (i32 %x, i32 %a)
+  ret i32 %b
+}
+func @mix (i32 %x, i32 %y) i32 {
+entry:
+  %three = const i32 3
+  %sh = shl i32 %x, i32 %y
+  %m = mul i32 %sh, %three
+  %r = xor i32 %m, %y
+  ret i32 %r
+}
+func @fact (i32 %n) i32 {
+entry:
+  %one = const i32 1
+  %base = ule i32 %n, %one
+  br %base, %rec, %leaf
+leaf:
+  ret i32 %one
+rec:
+  %m = sub i32 %n, %one
+  %r = call i32 @fact (i32 %m)
+  %p = mul i32 %n, %r
+  ret i32 %p
+}
+func @w1 (i1 %a, i1 %b) i1 {
+entry:
+  %x = xor i1 %a, %b
+  %r = not i1 %x
+  ret i1 %r
+}
+func @w63 (i63 %a) i63 {
+entry:
+  %k = const i63 6148914691236517205
+  %three = const i32 3
+  %m = mul i63 %a, %k
+  %s = add i63 %m, %a
+  %r = ashr i63 %s, i32 %three
+  ret i63 %r
+}
+func @w64 (i64 %a, i63 %b) i64 {
+entry:
+  %bz = zext i64 %b
+  %m = mul i64 %a, %bz
+  %k = const i64 18446744073709551557
+  %s = sub i64 %m, %k
+  %d = sdiv i64 %s, %a
+  ret i64 %d
+}
+func @tb.checks.stage0_of_the_self_checking_testbench.stage1_of_the_self_checking_testbench.stage2_of_the_self_checking_testbench.stage3_of_the_self_checking_testbench.stage4_of_the_self_checking_testbench.stage5_of_the_self_checking_testbench (i32 %p, i32 %k) void {
+entry:
+  %ok = ugt i32 %p, %k
+  call void @llhd.assert (i1 %ok)
+  ret
+}
+)";
+
+// A callee taking an i65 cannot run on lanes: its caller deopts, with a
+// reason naming the callee. So does the caller of @outer, whose own ops
+// fit but whose callee @inner computes in i65, and the caller of @ext,
+// which has no body.
+const char *WideCallDesign = R"(
+declare func @ext (i32) i32
+entity @xtop () -> () {
+  %z = const i32 0
+  %o = sig i32 %z
+  %o2 = sig i32 %z
+  %o3 = sig i32 %z
+  inst @xcall () -> (i32$ %o)
+  inst @xnest () -> (i32$ %o2)
+  inst @xdecl () -> (i32$ %o3)
+}
+proc @xdecl () -> (i32$ %o3) {
+entry:
+  %v = const i32 5
+  %r = call i32 @ext (i32 %v)
+  %t1 = const time 1ns
+  drv i32$ %o3, %r after %t1
+  halt
+}
+proc @xnest () -> (i32$ %o2) {
+entry:
+  %v = const i32 7
+  %r = call i32 @outer (i32 %v)
+  %t1 = const time 1ns
+  drv i32$ %o2, %r after %t1
+  halt
+}
+func @outer (i32 %x) i32 {
+entry:
+  %r = call i32 @inner (i32 %x)
+  ret i32 %r
+}
+func @inner (i32 %x) i32 {
+entry:
+  %w = zext i65 %x
+  %y = add i65 %w, %w
+  %t = trunc i32 %y
+  ret i32 %t
+}
+proc @xcall () -> (i32$ %o) {
+entry:
+  %v = const i65 36893488147419103231
+  %r = call i65 @wide (i65 %v)
+  %t = trunc i32 %r
+  %t1 = const time 1ns
+  drv i32$ %o, %t after %t1
+  halt
+}
+func @wide (i65 %x) i65 {
+entry:
+  %one = const i65 1
+  %r = add i65 %x, %one
+  ret i65 %r
+}
+)";
+
+TEST_F(JitTest, NativeCallsMatchOracle) {
+  SimStats St;
+  auto B = runAgainstOracle(CallsDesign, "ctop", St);
+  const jit::JitStats &J = B->jitStats();
+  EXPECT_TRUE(J.Warning.empty()) << J.Warning;
+  EXPECT_EQ(J.NativeUnits, 2u);
+  EXPECT_EQ(J.DeoptUnits, 0u);
+  EXPECT_EQ(J.NativeProcs, 2u);
+  // The assert inside the long-named checker fires from native code
+  // (iteration 0 at least: popcnt(0) = 0 is not above 0).
+  EXPECT_GT(St.AssertFailures, 0u);
+}
+
+TEST_F(JitTest, WideCalleeDeoptsItsCaller) {
+  SimStats St;
+  auto B = runAgainstOracle(WideCallDesign, "xtop", St);
+  const jit::JitStats &J = B->jitStats();
+  EXPECT_EQ(J.NativeUnits, 0u);
+  ASSERT_EQ(J.Deopts.size(), 3u);
+  EXPECT_EQ(J.Deopts[0].first, "xcall");
+  const std::string &Why = J.Deopts[0].second;
+  EXPECT_NE(Why.find("op 'call'"), std::string::npos) << Why;
+  EXPECT_NE(Why.find("'@wide'"), std::string::npos) << Why;
+  EXPECT_NE(Why.find("i65"), std::string::npos) << Why;
+  EXPECT_EQ(J.Deopts[1].first, "xnest");
+  const std::string &Nested = J.Deopts[1].second;
+  EXPECT_NE(Nested.find("'@outer'"), std::string::npos) << Nested;
+  EXPECT_NE(Nested.find("'@inner'"), std::string::npos) << Nested;
+  EXPECT_NE(Nested.find("op 'zext'"), std::string::npos) << Nested;
+  EXPECT_EQ(J.Deopts[2].first, "xdecl");
+  const std::string &Decl = J.Deopts[2].second;
+  EXPECT_NE(Decl.find("'@ext': declared without a body"), std::string::npos)
+      << Decl;
 }
 
 //===----------------------------------------------------------------------===//
